@@ -9,7 +9,11 @@ node. Running `backward` walks the node list in reverse, applying one
 registered backward rule per operation kind and summing gradient
 contributions over all paths.
 
-The actual rules are registered by the modules that own the kernels
+A tape built with ``Tape(grad=False)`` checks operands exactly like a
+recording one but keeps no values and no nodes, in the spirit of
+PyTorch's ``no_grad``: eval forwards use it, and `backward` refuses it.
+
+The rules are registered by the modules that define the ops
 (`functional` for layer and tensor ops, `train` for the losses); this
 module only provides the machinery plus the finite-difference oracle used
 to validate every rule.
@@ -41,20 +45,18 @@ class TapeNode:
     ctx: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Var:
-    """Handle to a tensor living on a tape."""
+    """A tensor value plus its id on the tape that produced it; the id is
+    -1 on a tape that records nothing."""
 
     tape: "Tape"
     id: int
-
-    @property
-    def value(self) -> np.ndarray:
-        return self.tape.values[self.id]
+    value: np.ndarray
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return self.tape.values[self.id].shape
+        return self.value.shape
 
 
 # One backward rule per differentiable op kind. A rule receives the node
@@ -71,9 +73,14 @@ def register_backward(op: str, rule: BackwardRule) -> None:
 
 
 class Tape:
-    """Append-only operation record for one forward pass."""
+    """Append-only operation record for one forward pass.
 
-    def __init__(self):
+    With ``grad=False`` nothing is recorded: every Var gets id -1 and
+    `values`/`nodes` stay empty, but dtype, tape and rule checks still run.
+    """
+
+    def __init__(self, grad: bool = True):
+        self.grad = grad
         self.values: list[np.ndarray] = []
         self.nodes: list[TapeNode] = []
         self.dtype: np.dtype | None = None
@@ -86,6 +93,8 @@ class Tape:
             raise AutogradError(
                 f"mixed dtypes on tape: {self.dtype} vs {value.dtype}"
             )
+        if not self.grad:
+            return -1
         self.values.append(value)
         return len(self.values) - 1
 
@@ -99,10 +108,11 @@ class Tape:
             raise AutogradError(f"leaf dtype {value.dtype} is not float32/float64")
         key = id(value)
         if key in self._leaf_ids:
-            return Var(self, self._leaf_ids[key])
+            return Var(self, self._leaf_ids[key], value)
         tid = self._push(value)
-        self._leaf_ids[key] = tid
-        return Var(self, tid)
+        if self.grad:
+            self._leaf_ids[key] = tid
+        return Var(self, tid, value)
 
     def leaf_id_for(self, value: np.ndarray) -> int | None:
         """Tape id of a previously registered leaf array, or None."""
@@ -119,33 +129,21 @@ class Tape:
                 raise AutogradError("operands live on different tapes")
             ids.append(v.id)
         out = self._push(out_value)
-        self.nodes.append(TapeNode(op, tuple(ids), out, ctx))
-        return Var(self, out)
+        if self.grad:
+            self.nodes.append(TapeNode(op, tuple(ids), out, ctx))
+        return Var(self, out, out_value)
 
 
-class GradStore:
-    """Gradients keyed by tape id; an absent entry means a zero gradient."""
-
-    def __init__(self, grads: dict[int, np.ndarray]):
-        self._grads = grads
-
-    def get(self, tid: int) -> np.ndarray | None:
-        return self._grads.get(tid)
-
-    def __contains__(self, tid: int) -> bool:
-        return tid in self._grads
-
-    def items(self):
-        return self._grads.items()
-
-
-def backward(tape: Tape, loss) -> GradStore:
+def backward(tape: Tape, loss) -> dict[int, np.ndarray]:
     """Reverse-accumulate d(loss)/d(x) for every tensor on the tape.
 
+    Returns gradients keyed by tape id; an absent id has a zero gradient.
     The loss must be scalar-shaped (1, 1, 1, 1). Gradients over multiple
     paths are summed; traversal order is fixed (reverse recording order,
     inputs in recorded order) so replays are bit-identical.
     """
+    if not tape.grad:
+        raise AutogradError("backward needs a recording tape, not Tape(grad=False)")
     loss_id = loss.id if isinstance(loss, Var) else int(loss)
     if not (0 <= loss_id < len(tape.values)):
         raise AutogradError(f"id {loss_id} is not on this tape")
@@ -167,7 +165,7 @@ def backward(tape: Tape, loss) -> GradStore:
                 continue
             acc = grads.get(tid)
             grads[tid] = ig if acc is None else acc + ig
-    return GradStore(grads)
+    return grads
 
 
 @dataclass

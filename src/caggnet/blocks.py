@@ -1,8 +1,10 @@
 """Composite blocks: ConvBlock, crossing-aggregation node, weighted
 aggregation block, and the bottom-up fusion head.
 
-All forwards take tape handles (`Var`) so the same code path serves
-training and evaluation; `training` only switches batch-norm behavior.
+All forwards take tape handles (`Var`) and compose the ops of
+`functional`, so the same code path serves training and evaluation: eval
+runs it on a tape that records nothing, and `training` only switches
+batch-norm behavior.
 """
 
 from __future__ import annotations

@@ -231,7 +231,10 @@ def cmd_eval(args) -> int:
     if data_dir is None or not Path(data_dir).exists():
         raise CliError(f"dataset directory not found: {data_dir}")
     samples, manifest = data_io.load_dataset(data_dir)
-    if args.split and "split" in manifest:
+    if args.split:
+        if "split" not in manifest:
+            raise CliError(f"--split {args.split}: dataset {data_dir} has no "
+                           f"split in its manifest")
         train, val = data_io.split_from_manifest(samples, manifest)
         samples = {"train": train, "val": val}[args.split]
     if any(s.image.c != model.cfg.in_channels for s in samples):
@@ -391,8 +394,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # thread pinning must precede the first numpy import
-        threads = _resolve_threads({"threads": args.threads})
+        # thread pinning must precede the first numpy import; neither
+        # this module nor the package __init__ loads numpy
+        threads = _resolve_threads(load_config(args.config, _flag_overrides(args)))
         if "numpy" not in sys.modules:
             _pin_threads(threads)
         return args.func(args)

@@ -1,9 +1,18 @@
-"""Tape-recorded versions of the tensor and layer primitives.
+"""The differentiable ops, each defined once.
 
-Every function here takes `Var` operands, computes the forward value with
-the kernels from `tensor_core`/`nn_ops`, and records a node so `backward`
-can differentiate through it. Backward rules are registered at import
-time, one per op kind.
+Every op is one forward function that takes `Var` operands, computes its
+value and records a node on the operands' tape, plus one backward rule,
+registered in `autograd.RULES` under the op's name at import time.
+Training, eval and one-off calls all go through these functions; eval
+runs them on a ``Tape(grad=False)``, which checks operands but keeps
+nothing.
+
+The convolution forward accumulates contributions in a fixed (ci, ki, kj)
+order, vectorized over batch, output channel and space. That order is the
+same one `nn_ops.conv2d_reference` uses with scalar arithmetic, which is
+what makes the two bit-identical in double precision; do not replace the
+accumulation with a fused reduction (einsum/tensordot) without revisiting
+that guarantee. Backward rules have no such constraint and use BLAS.
 """
 
 from __future__ import annotations
@@ -11,23 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autograd import TapeNode, Var, register_backward
-from .nn_ops import (
-    BatchNormState,
-    _batchnorm2d_bwd,
-    _batchnorm2d_fwd,
-    _conv2d_bwd,
-    _conv2d_fwd,
-    _global_avg_pool_bwd,
-    _global_avg_pool_fwd,
-    _maxpool2_bwd,
-    _maxpool2_fwd,
-    _relu_bwd,
-    _relu_fwd,
-    _sigmoid_bwd,
-    _sigmoid_fwd,
-    _upsample_nearest2_bwd,
-    _upsample_nearest2_fwd,
-)
+from .nn_ops import BatchNormState
 from .tensor_core import ShapeError
 
 
@@ -52,16 +45,6 @@ def _mul_bwd(node: TapeNode, g: np.ndarray):
     return g * bv, g * av
 
 
-def scale(a: Var, c: float) -> Var:
-    """Multiply by a non-learnable scalar constant."""
-    return a.tape.record("scale", (a,), a.value * c, ctx=(float(c),))
-
-
-def _scale_bwd(node: TapeNode, g: np.ndarray):
-    (c,) = node.ctx
-    return (g * c,)
-
-
 def sum_all(a: Var) -> Var:
     """Sum of all elements, as a scalar-shaped (1, 1, 1, 1) tensor."""
     out = a.value.sum().reshape(1, 1, 1, 1)
@@ -76,6 +59,8 @@ def _sum_all_bwd(node: TapeNode, g: np.ndarray):
 
 
 def concat_channels(parts: list[Var]) -> Var:
+    """Concatenate along the channel axis, in list order; part k occupies
+    the channel slice starting at the sum of the preceding widths."""
     if len(parts) == 0:
         raise ShapeError("concat_channels needs at least one part")
     first = parts[0].value
@@ -104,6 +89,7 @@ def _concat_channels_bwd(node: TapeNode, g: np.ndarray):
 
 
 def channel_scale(x: Var, w: Var) -> Var:
+    """out[n, c, i, j] = x[n, c, i, j] * w[n, c, 0, 0]."""
     xv, wv = x.value, w.value
     if wv.shape != (xv.shape[0], xv.shape[1], 1, 1):
         raise ShapeError(
@@ -119,86 +105,187 @@ def _channel_scale_bwd(node: TapeNode, g: np.ndarray):
 
 
 def conv2d(x: Var, weight: Var, bias: Var) -> Var:
-    out = _conv2d_fwd(x.value, weight.value, bias.value)
-    return x.tape.record("conv2d", (x, weight, bias), out,
-                         ctx=(x.value, weight.value))
+    """Same-size cross-correlation with a (c_out, c_in, k, k) weight plus
+    bias; k = 3 pads by 1, k = 1 by 0, stride 1."""
+    xv, w = x.value, weight.value
+    n, c_in, h, wd = xv.shape
+    c_out, c_in2, k, _ = w.shape
+    if c_in2 != c_in:
+        raise ShapeError(f"conv2d channel mismatch: input c={c_in}, weight c_in={c_in2}")
+    pad = (k - 1) // 2
+    xp = np.pad(xv, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else xv
+    out = np.empty((n, c_out, h, wd), dtype=xv.dtype)
+    out[...] = bias.value.reshape(1, c_out, 1, 1)
+    # fixed (ci, ki, kj) accumulation order; see module docstring
+    for ci in range(c_in):
+        for ki in range(k):
+            for kj in range(k):
+                out += (
+                    xp[:, ci:ci + 1, ki:ki + h, kj:kj + wd]
+                    * w[:, ci, ki, kj].reshape(1, c_out, 1, 1)
+                )
+    return x.tape.record("conv2d", (x, weight, bias), out, ctx=(xv, w))
 
 
-def _conv2d_op_bwd(node: TapeNode, g: np.ndarray):
-    xv, wv = node.ctx
-    return _conv2d_bwd(g, xv, wv)
+def _conv2d_bwd(node: TapeNode, g: np.ndarray):
+    x, w = node.ctx
+    n, c_in, h, wd = x.shape
+    c_out, _, k, _ = w.shape
+    pad = (k - 1) // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    gxp = np.zeros_like(xp)
+    gw = np.empty_like(w)
+    for ki in range(k):
+        for kj in range(k):
+            xv = xp[:, :, ki:ki + h, kj:kj + wd]
+            # gw[o, i, ki, kj] = sum_{n,h,w} g[n,o,h,w] * xv[n,i,h,w]
+            gw[:, :, ki, kj] = np.tensordot(g, xv, axes=([0, 2, 3], [0, 2, 3]))
+            # scatter g back through the same spatial shift
+            gxp[:, :, ki:ki + h, kj:kj + wd] += np.einsum(
+                "nohw,oi->nihw", g, w[:, :, ki, kj], optimize=True
+            )
+    gx = gxp[:, :, pad:pad + h, pad:pad + wd] if pad else gxp
+    gb = g.sum(axis=(0, 2, 3))
+    return np.ascontiguousarray(gx), gw, gb
 
 
 def maxpool2(x: Var) -> Var:
-    out, idx = _maxpool2_fwd(x.value)
-    return x.tape.record("maxpool2", (x,), out, ctx=(idx, x.value.shape))
+    """2x2 max pooling with stride 2."""
+    xv = x.value
+    n, c, h, w = xv.shape
+    if h % 2 or w % 2:
+        raise ShapeError(f"maxpool2 needs even spatial extents, got {h}x{w}")
+    win = (
+        xv.reshape(n, c, h // 2, 2, w // 2, 2)
+        .transpose(0, 1, 2, 4, 3, 5)
+        .reshape(n, c, h // 2, w // 2, 4)
+    )
+    # argmax picks the first maximum in window scan order (row-major 2x2)
+    idx = win.argmax(axis=-1)
+    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+    return x.tape.record("maxpool2", (x,), np.ascontiguousarray(out),
+                         ctx=(idx, xv.shape))
 
 
-def _maxpool2_op_bwd(node: TapeNode, g: np.ndarray):
-    idx, in_shape = node.ctx
-    return (_maxpool2_bwd(g, idx, in_shape),)
+def _maxpool2_bwd(node: TapeNode, g: np.ndarray):
+    idx, (n, c, h, w) = node.ctx
+    buf = np.zeros((n, c, h // 2, w // 2, 4), dtype=g.dtype)
+    np.put_along_axis(buf, idx[..., None], g[..., None], axis=-1)
+    return (np.ascontiguousarray(
+        buf.reshape(n, c, h // 2, w // 2, 2, 2)
+        .transpose(0, 1, 2, 4, 3, 5)
+        .reshape(n, c, h, w)
+    ),)
 
 
 def upsample_nearest2(x: Var) -> Var:
-    return x.tape.record("upsample_nearest2", (x,), _upsample_nearest2_fwd(x.value))
+    """Replicate every pixel into a 2x2 block (nearest-neighbor 2x)."""
+    out = np.repeat(np.repeat(x.value, 2, axis=2), 2, axis=3)
+    return x.tape.record("upsample_nearest2", (x,), out)
 
 
-def _upsample_nearest2_op_bwd(node: TapeNode, g: np.ndarray):
-    return (_upsample_nearest2_bwd(g),)
+def _upsample_nearest2_bwd(node: TapeNode, g: np.ndarray):
+    n, c, h2, w2 = g.shape
+    return (g.reshape(n, c, h2 // 2, 2, w2 // 2, 2).sum(axis=(3, 5)),)
 
 
 def batchnorm2d(x: Var, gamma: Var, beta: Var, state: BatchNormState,
                 training: bool) -> Var:
-    out, xhat, inv = _batchnorm2d_fwd(x.value, gamma.value, beta.value,
-                                      state, training)
+    """Normalize per channel: batch statistics in training mode, which
+    also updates the running stats in `state`, running statistics in
+    eval mode."""
+    xv, gv = x.value, gamma.value
+    if xv.shape[1] != gv.shape[0]:
+        raise ShapeError(
+            f"batchnorm channel mismatch: input c={xv.shape[1]}, gamma c={gv.shape[0]}"
+        )
+    if training:
+        mean = xv.mean(axis=(0, 2, 3))
+        var = xv.var(axis=(0, 2, 3))
+        m = state.momentum
+        state.running_mean *= 1.0 - m
+        state.running_mean += (m * mean).astype(state.running_mean.dtype)
+        state.running_var *= 1.0 - m
+        state.running_var += (m * var).astype(state.running_var.dtype)
+    else:
+        mean = state.running_mean.astype(xv.dtype)
+        var = state.running_var.astype(xv.dtype)
+    inv = 1.0 / np.sqrt(var + state.eps)
+    xhat = (xv - mean.reshape(1, -1, 1, 1)) * inv.reshape(1, -1, 1, 1)
+    out = gv.reshape(1, -1, 1, 1) * xhat + beta.value.reshape(1, -1, 1, 1)
     return x.tape.record("batchnorm2d", (x, gamma, beta), out,
-                         ctx=(xhat, inv, gamma.value, training))
+                         ctx=(xhat, inv, gv, training))
 
 
-def _batchnorm2d_op_bwd(node: TapeNode, g: np.ndarray):
+def _batchnorm2d_bwd(node: TapeNode, g: np.ndarray):
     xhat, inv, gamma, training = node.ctx
-    return _batchnorm2d_bwd(g, xhat, inv, gamma, training)
+    dgamma = (g * xhat).sum(axis=(0, 2, 3))
+    dbeta = g.sum(axis=(0, 2, 3))
+    scale = (gamma * inv).reshape(1, -1, 1, 1)
+    if training:
+        # full batch-statistics derivative: mean and variance depend on x
+        m = g.shape[0] * g.shape[2] * g.shape[3]
+        dx = scale * (
+            g
+            - (dbeta.reshape(1, -1, 1, 1) + xhat * dgamma.reshape(1, -1, 1, 1)) / m
+        )
+    else:
+        dx = scale * g
+    return dx, dgamma, dbeta
 
 
 def relu(x: Var) -> Var:
-    return x.tape.record("relu", (x,), _relu_fwd(x.value), ctx=(x.value,))
+    return x.tape.record("relu", (x,), np.maximum(x.value, 0), ctx=(x.value,))
 
 
-def _relu_op_bwd(node: TapeNode, g: np.ndarray):
+def _relu_bwd(node: TapeNode, g: np.ndarray):
     (xv,) = node.ctx
-    return (_relu_bwd(g, xv),)
+    # derivative at exactly 0 is defined as 0
+    return (g * (xv > 0),)
 
 
 def sigmoid(x: Var) -> Var:
-    out = _sigmoid_fwd(x.value)
+    """Elementwise logistic function 1 / (1 + e^-x)."""
+    xv = x.value
+    # numerically stable split; extreme inputs can still round to exactly
+    # 0.0/1.0 at float precision, which the losses clamp upstream
+    out = np.empty_like(xv)
+    pos = xv >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-xv[pos]))
+    ex = np.exp(xv[~pos])
+    out[~pos] = ex / (1.0 + ex)
     return x.tape.record("sigmoid", (x,), out, ctx=(out,))
 
 
-def _sigmoid_op_bwd(node: TapeNode, g: np.ndarray):
+def _sigmoid_bwd(node: TapeNode, g: np.ndarray):
     (s,) = node.ctx
-    return (_sigmoid_bwd(g, s),)
+    return (g * s * (1.0 - s),)
 
 
 def global_avg_pool(x: Var) -> Var:
-    return x.tape.record("global_avg_pool", (x,), _global_avg_pool_fwd(x.value),
+    """Mean over the spatial extent per channel; output is (n, c, 1, 1)."""
+    return x.tape.record("global_avg_pool", (x,),
+                         x.value.mean(axis=(2, 3), keepdims=True),
                          ctx=(x.value.shape,))
 
 
-def _global_avg_pool_op_bwd(node: TapeNode, g: np.ndarray):
+def _global_avg_pool_bwd(node: TapeNode, g: np.ndarray):
     (in_shape,) = node.ctx
-    return (_global_avg_pool_bwd(g, in_shape),)
+    n, c, h, w = in_shape
+    out = np.empty(in_shape, dtype=g.dtype)
+    out[...] = g / (h * w)
+    return (out,)
 
 
 register_backward("add", _add_bwd)
 register_backward("mul", _mul_bwd)
-register_backward("scale", _scale_bwd)
 register_backward("sum_all", _sum_all_bwd)
 register_backward("concat_channels", _concat_channels_bwd)
 register_backward("channel_scale", _channel_scale_bwd)
-register_backward("conv2d", _conv2d_op_bwd)
-register_backward("maxpool2", _maxpool2_op_bwd)
-register_backward("upsample_nearest2", _upsample_nearest2_op_bwd)
-register_backward("batchnorm2d", _batchnorm2d_op_bwd)
-register_backward("relu", _relu_op_bwd)
-register_backward("sigmoid", _sigmoid_op_bwd)
-register_backward("global_avg_pool", _global_avg_pool_op_bwd)
+register_backward("conv2d", _conv2d_bwd)
+register_backward("maxpool2", _maxpool2_bwd)
+register_backward("upsample_nearest2", _upsample_nearest2_bwd)
+register_backward("batchnorm2d", _batchnorm2d_bwd)
+register_backward("relu", _relu_bwd)
+register_backward("sigmoid", _sigmoid_bwd)
+register_backward("global_avg_pool", _global_avg_pool_bwd)

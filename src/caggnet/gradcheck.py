@@ -90,18 +90,6 @@ def _check_mul(rng):
     return _run_check("mul", params, build)
 
 
-def _check_scale(rng):
-    params = {"a": _spread(rng, (1, 2, 4, 4))}
-
-    def build(p):
-        t = Tape()
-        lv = _leaves(t, p)
-        return _weighted_scalar(F.scale(lv["a"], -1.7),
-                                np.random.default_rng(1)), lv
-
-    return _run_check("scale", params, build)
-
-
 def _check_sum_all(rng):
     params = {"a": _spread(rng, (2, 2, 3, 3))}
 
@@ -275,7 +263,6 @@ def op_checks(seed: int = 0) -> list[CheckReport]:
     return [
         _check_add(rng),
         _check_mul(rng),
-        _check_scale(rng),
         _check_sum_all(rng),
         _check_concat_channels(rng),
         _check_channel_scale(rng),

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import functional as F
-from .autograd import GradStore, Tape, Var
+from .autograd import Tape, Var
 from .blocks import (
     CamNode,
     ConvBlock,
@@ -135,11 +135,7 @@ class ParamStore:
     def trainable_count(self) -> int:
         return sum(p.value.size for _, p in self._params.items() if p.trainable)
 
-    def zero_grads(self) -> None:
-        for p in self._params.values():
-            p.grad[...] = 0
-
-    def apply_grads(self, tape: Tape, grads: GradStore) -> None:
+    def apply_grads(self, tape: Tape, grads: dict[int, np.ndarray]) -> None:
         """Copy tape gradients into the per-parameter grad buffers.
 
         Parameters that never reached the loss keep a zero gradient.
@@ -150,17 +146,6 @@ class ParamStore:
             tid = tape.leaf_id_for(p.value)
             g = grads.get(tid) if tid is not None else None
             p.grad[...] = 0 if g is None else g
-
-    def grads_by_name(self, tape: Tape, grads: GradStore) -> dict[str, np.ndarray]:
-        out = {}
-        for name, p in self._params.items():
-            if not p.trainable:
-                continue
-            tid = tape.leaf_id_for(p.value)
-            g = grads.get(tid) if tid is not None else None
-            if g is not None:
-                out[name] = g
-        return out
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {name: p.value.copy() for name, p in self._params.items()}
@@ -338,7 +323,8 @@ def build_unet(cfg: ModelConfig) -> UNet:
 
 @dataclass
 class ForwardPass:
-    """Forward result: probability map plus the tape that produced it."""
+    """Forward result: probability map plus the tape that produced it;
+    an eval-mode tape records nothing."""
 
     probs: Tensor4
     tape: Tape
@@ -387,8 +373,9 @@ def _unet_graph(model: UNet, x: Var, training: bool) -> Var:
 def forward(model, x: Tensor4, training: bool = False) -> ForwardPass:
     """Run the model on a batch, producing an (n, 1, h, w) probability map.
 
-    The returned ForwardPass carries the tape for `backward` when
-    training; eval-mode calls are pure and may discard it.
+    In training mode the returned ForwardPass carries the tape for
+    `backward`. Eval mode runs on a ``Tape(grad=False)``, so it keeps no
+    activations and its tape cannot be differentiated.
     """
     cfg = model.cfg
     if x.c != cfg.in_channels:
@@ -405,7 +392,7 @@ def forward(model, x: Tensor4, training: bool = False) -> ForwardPass:
         raise ShapeError(
             f"input precision {x.dtype_tag} does not match model {cfg.dtype}"
         )
-    tape = Tape()
+    tape = Tape(grad=training)
     xv = tape.leaf(x.data)
     if isinstance(model, CaggNet):
         out = _caggnet_graph(model, xv, training)
@@ -465,6 +452,9 @@ def load_checkpoint(directory):
         raise ConfigError(f"unknown arch {manifest['arch']!r} in checkpoint")
     values = {}
     for entry in manifest["params"]:
+        if entry["name"] not in model.params:
+            raise ConfigError(f"checkpoint {directory} has unknown parameter "
+                              f"{entry['name']!r}")
         t = read_tensor(directory / entry["file"])
         arr = t.data
         if entry["kind"] == "vector":

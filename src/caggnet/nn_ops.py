@@ -1,13 +1,10 @@
-"""Forward and backward CPU kernels for the layer primitives.
+"""Parameter containers for the layer ops, and the convolution oracle.
 
-Public functions take and return `Tensor4`; the underscore kernels work on
-raw arrays and are shared with the tape wrappers in `functional`. The
-convolution forward accumulates contributions in a fixed (ci, ki, kj)
-order, vectorized over batch, output channel and space. That order is the
-same one `conv2d_reference` uses with scalar arithmetic, which is what
-makes the two paths bit-identical in double precision; do not replace the
-accumulation with a fused reduction (einsum/tensordot) without revisiting
-that guarantee. Backward kernels have no such constraint and use BLAS.
+`Conv2dParams` and `BatchNormState` hold the arrays a model's layers
+own; the ops themselves, forward and backward, live in `functional`.
+`conv2d_reference` is a naive scalar-loop convolution kept free of any
+code shared with `functional.conv2d`, so it can serve as an independent
+oracle: in double precision the two must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -81,56 +78,6 @@ class BatchNormState:
             raise ShapeError("running_var must be >= 0")
 
 
-def _pad_for(k: int) -> int:
-    return (k - 1) // 2
-
-
-def _conv2d_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n, c_in, h, wd = x.shape
-    c_out, c_in2, k, _ = w.shape
-    if c_in2 != c_in:
-        raise ShapeError(f"conv2d channel mismatch: input c={c_in}, weight c_in={c_in2}")
-    pad = _pad_for(k)
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    out = np.empty((n, c_out, h, wd), dtype=x.dtype)
-    out[...] = b.reshape(1, c_out, 1, 1)
-    # fixed (ci, ki, kj) accumulation order; see module docstring
-    for ci in range(c_in):
-        for ki in range(k):
-            for kj in range(k):
-                out += (
-                    xp[:, ci:ci + 1, ki:ki + h, kj:kj + wd]
-                    * w[:, ci, ki, kj].reshape(1, c_out, 1, 1)
-                )
-    return out
-
-
-def _conv2d_bwd(g: np.ndarray, x: np.ndarray, w: np.ndarray):
-    n, c_in, h, wd = x.shape
-    c_out, _, k, _ = w.shape
-    pad = _pad_for(k)
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    gxp = np.zeros_like(xp)
-    gw = np.empty_like(w)
-    for ki in range(k):
-        for kj in range(k):
-            xv = xp[:, :, ki:ki + h, kj:kj + wd]
-            # gw[o, i, ki, kj] = sum_{n,h,w} g[n,o,h,w] * xv[n,i,h,w]
-            gw[:, :, ki, kj] = np.tensordot(g, xv, axes=([0, 2, 3], [0, 2, 3]))
-            # scatter g back through the same spatial shift
-            gxp[:, :, ki:ki + h, kj:kj + wd] += np.einsum(
-                "nohw,oi->nihw", g, w[:, :, ki, kj], optimize=True
-            )
-    gx = gxp[:, :, pad:pad + h, pad:pad + wd] if pad else gxp
-    gb = g.sum(axis=(0, 2, 3))
-    return np.ascontiguousarray(gx), gw, gb
-
-
-def conv2d(x: Tensor4, p: Conv2dParams) -> Tensor4:
-    """Same-size cross-correlation of x with p.weight plus p.bias."""
-    return Tensor4(_conv2d_fwd(x.data, p.weight, p.bias))
-
-
 def conv2d_reference(x: Tensor4, p: Conv2dParams) -> Tensor4:
     """Naive scalar-loop convolution used as the independent oracle.
 
@@ -146,7 +93,7 @@ def conv2d_reference(x: Tensor4, p: Conv2dParams) -> Tensor4:
     c_out, c_in2, k, _ = w.shape
     if c_in2 != c_in:
         raise ShapeError(f"conv2d channel mismatch: input c={c_in}, weight c_in={c_in2}")
-    pad = _pad_for(k)
+    pad = (k - 1) // 2
     out = np.empty((n, c_out, h, wd), dtype=np.float64)
     for b_i in range(n):
         for co in range(c_out):
@@ -164,146 +111,3 @@ def conv2d_reference(x: Tensor4, p: Conv2dParams) -> Tensor4:
                                     )
                     out[b_i, co, i, j] = acc
     return Tensor4(out)
-
-
-def _maxpool2_fwd(x: np.ndarray):
-    n, c, h, w = x.shape
-    if h % 2 or w % 2:
-        raise ShapeError(f"maxpool2 needs even spatial extents, got {h}x{w}")
-    win = (
-        x.reshape(n, c, h // 2, 2, w // 2, 2)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(n, c, h // 2, w // 2, 4)
-    )
-    # argmax picks the first maximum in window scan order (row-major 2x2)
-    idx = win.argmax(axis=-1)
-    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
-    return np.ascontiguousarray(out), idx
-
-
-def _maxpool2_bwd(g: np.ndarray, idx: np.ndarray, in_shape) -> np.ndarray:
-    n, c, h, w = in_shape
-    buf = np.zeros((n, c, h // 2, w // 2, 4), dtype=g.dtype)
-    np.put_along_axis(buf, idx[..., None], g[..., None], axis=-1)
-    return np.ascontiguousarray(
-        buf.reshape(n, c, h // 2, w // 2, 2, 2)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(n, c, h, w)
-    )
-
-
-def maxpool2(x: Tensor4) -> Tensor4:
-    """2x2 max pooling with stride 2."""
-    return Tensor4(_maxpool2_fwd(x.data)[0])
-
-
-def _upsample_nearest2_fwd(x: np.ndarray) -> np.ndarray:
-    return np.repeat(np.repeat(x, 2, axis=2), 2, axis=3)
-
-
-def _upsample_nearest2_bwd(g: np.ndarray) -> np.ndarray:
-    n, c, h2, w2 = g.shape
-    return g.reshape(n, c, h2 // 2, 2, w2 // 2, 2).sum(axis=(3, 5))
-
-
-def upsample_nearest2(x: Tensor4) -> Tensor4:
-    """Replicate every pixel into a 2x2 block (nearest-neighbor 2x)."""
-    return Tensor4(_upsample_nearest2_fwd(x.data))
-
-
-def _batchnorm2d_fwd(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-                     state: BatchNormState, training: bool):
-    if x.shape[1] != gamma.shape[0]:
-        raise ShapeError(
-            f"batchnorm channel mismatch: input c={x.shape[1]}, gamma c={gamma.shape[0]}"
-        )
-    if training:
-        mean = x.mean(axis=(0, 2, 3))
-        var = x.var(axis=(0, 2, 3))
-        m = state.momentum
-        state.running_mean *= 1.0 - m
-        state.running_mean += (m * mean).astype(state.running_mean.dtype)
-        state.running_var *= 1.0 - m
-        state.running_var += (m * var).astype(state.running_var.dtype)
-    else:
-        mean = state.running_mean.astype(x.dtype)
-        var = state.running_var.astype(x.dtype)
-    inv = 1.0 / np.sqrt(var + state.eps)
-    xhat = (x - mean.reshape(1, -1, 1, 1)) * inv.reshape(1, -1, 1, 1)
-    out = gamma.reshape(1, -1, 1, 1) * xhat + beta.reshape(1, -1, 1, 1)
-    return out, xhat, inv
-
-
-def _batchnorm2d_bwd(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
-                     gamma: np.ndarray, training: bool):
-    dgamma = (g * xhat).sum(axis=(0, 2, 3))
-    dbeta = g.sum(axis=(0, 2, 3))
-    scale = (gamma * inv).reshape(1, -1, 1, 1)
-    if training:
-        # full batch-statistics derivative: mean and variance depend on x
-        m = g.shape[0] * g.shape[2] * g.shape[3]
-        dx = scale * (
-            g
-            - (dbeta.reshape(1, -1, 1, 1) + xhat * dgamma.reshape(1, -1, 1, 1)) / m
-        )
-    else:
-        dx = scale * g
-    return dx, dgamma, dbeta
-
-
-def batchnorm2d(x: Tensor4, s: BatchNormState, training: bool) -> Tensor4:
-    """Normalize per channel; batch statistics in training mode, running
-    statistics in eval mode. Training mode updates the running stats."""
-    out, _, _ = _batchnorm2d_fwd(x.data, s.gamma.astype(x.data.dtype),
-                                 s.beta.astype(x.data.dtype), s, training)
-    return Tensor4(out)
-
-
-def _relu_fwd(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)
-
-
-def _relu_bwd(g: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # derivative at exactly 0 is defined as 0
-    return g * (x > 0)
-
-
-def relu(x: Tensor4) -> Tensor4:
-    """Elementwise max(0, x)."""
-    return Tensor4(_relu_fwd(x.data))
-
-
-def _sigmoid_fwd(x: np.ndarray) -> np.ndarray:
-    # numerically stable split; extreme inputs can still round to exactly
-    # 0.0/1.0 at float precision, which the losses clamp upstream
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def _sigmoid_bwd(g: np.ndarray, s: np.ndarray) -> np.ndarray:
-    return g * s * (1.0 - s)
-
-
-def sigmoid(x: Tensor4) -> Tensor4:
-    """Elementwise logistic function 1 / (1 + e^-x)."""
-    return Tensor4(_sigmoid_fwd(x.data))
-
-
-def _global_avg_pool_fwd(x: np.ndarray) -> np.ndarray:
-    return x.mean(axis=(2, 3), keepdims=True)
-
-
-def _global_avg_pool_bwd(g: np.ndarray, in_shape) -> np.ndarray:
-    n, c, h, w = in_shape
-    out = np.empty(in_shape, dtype=g.dtype)
-    out[...] = g / (h * w)
-    return out
-
-
-def global_avg_pool(x: Tensor4) -> Tensor4:
-    """Mean over the spatial extent per channel; output is (n, c, 1, 1)."""
-    return Tensor4(_global_avg_pool_fwd(x.data))

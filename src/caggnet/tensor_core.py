@@ -1,17 +1,17 @@
 """Dense 4-D tensors in batch-channel-height-width layout.
 
-Every value flowing through the engine is a `Tensor4`: a contiguous,
-row-major float array with explicit (n, c, h, w) extents and a precision
-tag ("single" for float32, "double" for float64). Tensors are frozen at
-construction so they can be shared freely; learnable parameters are kept
-as plain mutable arrays elsewhere.
+Images, masks, model inputs and probability maps are `Tensor4` values: a
+contiguous, row-major float array with explicit (n, c, h, w) extents and
+a precision tag ("single" for float32, "double" for float64). Tensors are
+frozen at construction so they can be shared freely; learnable parameters
+are kept as plain mutable arrays elsewhere, and the ops in `functional`
+work on the arrays inside tape handles.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -119,57 +119,6 @@ def zeros(shape: Shape4, dtype: str = "double") -> Tensor4:
     if not isinstance(shape, Shape4):
         shape = Shape4(*shape)
     return Tensor4(np.zeros(shape.as_tuple(), dtype=DTYPE_OF_TAG[dtype]))
-
-
-def add(a: Tensor4, b: Tensor4) -> Tensor4:
-    """Elementwise sum; both operands must have identical shapes."""
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"add shape mismatch: {a.data.shape} vs {b.data.shape}")
-    return Tensor4(a.data + b.data)
-
-
-def concat_channels(parts: Sequence[Tensor4]) -> Tensor4:
-    """Concatenate tensors along the channel axis, in list order.
-
-    All parts must share batch, height and width extents (and dtype);
-    part k occupies the contiguous channel slice starting at the sum of
-    the preceding parts' channel counts.
-    """
-    if len(parts) == 0:
-        raise ShapeError("concat_channels needs at least one part")
-    first = parts[0]
-    for k, p in enumerate(parts[1:], start=1):
-        if (p.n, p.h, p.w) != (first.n, first.h, first.w):
-            raise ShapeError(
-                f"concat_channels n/h/w mismatch: part 0 is {first.data.shape}, "
-                f"part {k} is {p.data.shape}"
-            )
-        if p.data.dtype != first.data.dtype:
-            raise TensorError("concat_channels parts must share dtype")
-    if len(parts) == 1:
-        return Tensor4(first.data.copy())
-    return Tensor4(np.concatenate([p.data for p in parts], axis=1))
-
-
-def channel_slice(x: Tensor4, start: int, stop: int) -> Tensor4:
-    """Channels [start, stop) of x as a fresh tensor."""
-    if not (0 <= start < stop <= x.c):
-        raise ShapeError(f"channel slice [{start}:{stop}] out of range for c={x.c}")
-    return Tensor4(x.data[:, start:stop].copy())
-
-
-def channel_scale(x: Tensor4, w: Tensor4) -> Tensor4:
-    """Scale each channel of x by a per-(batch, channel) weight.
-
-    w must have shape (n, c, 1, 1) matching x's batch and channel extents;
-    out[n, c, i, j] = x[n, c, i, j] * w[n, c, 0, 0].
-    """
-    if w.data.shape != (x.n, x.c, 1, 1):
-        raise ShapeError(
-            f"channel_scale weight shape {w.data.shape} does not match "
-            f"({x.n}, {x.c}, 1, 1)"
-        )
-    return Tensor4(x.data * w.data)
 
 
 # --- binary dump format -----------------------------------------------------

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from caggnet import functional as F
 from caggnet.autograd import Tape
 from caggnet.blocks import CamNode, ConvBlock, cam_forward
 from caggnet.cli import main as cli_main
@@ -39,14 +40,7 @@ from caggnet.models import (
     load_checkpoint,
     save_checkpoint,
 )
-from caggnet.nn_ops import (
-    BatchNormState,
-    Conv2dParams,
-    conv2d,
-    conv2d_reference,
-    maxpool2,
-    upsample_nearest2,
-)
+from caggnet.nn_ops import BatchNormState, Conv2dParams, conv2d_reference
 from caggnet.tensor_core import Tensor4
 from caggnet.train import (
     AdamState,
@@ -165,7 +159,9 @@ def test_criterion_5_conv_equivalence():
         x = Tensor4(rng.normal(size=(n, c_in, h, w)))
         p = Conv2dParams(weight=rng.normal(size=(c_out, c_in, k, k)),
                          bias=rng.normal(size=c_out))
-        if conv2d(x, p).data.tobytes() != conv2d_reference(x, p).data.tobytes():
+        t = Tape(grad=False)
+        fast = F.conv2d(t.leaf(x), t.leaf(p.weight), t.leaf(p.bias)).value
+        if fast.tobytes() != conv2d_reference(x, p).data.tobytes():
             mismatches += 1
     report(5, "conv kernel equivalence", mismatches == 0,
            f"- 100 random double-precision cases (<=8x8, <=4ch, k in {{1,3}}), "
@@ -275,7 +271,8 @@ def test_criterion_9_round_trips(tmp_path, rng):
 
     # maxpool2 of upsample_nearest2 is the identity
     x = Tensor4(rng.normal(size=(2, 3, 6, 6)))
-    pool_ok = np.array_equal(maxpool2(upsample_nearest2(x)).data, x.data)
+    t = Tape(grad=False)
+    pool_ok = np.array_equal(F.maxpool2(F.upsample_nearest2(t.leaf(x))).value, x.data)
 
     # checkpoint reload reproduces eval metrics exactly
     samples = gen_synthetic(SynthConfig(count=4, size=16, seed=9))

@@ -88,7 +88,9 @@ class TestLinearityAndReplay:
             y = t.leaf(yv)
             l1 = F.sum_all(F.mul(x, x))
             l2 = F.sum_all(F.mul(x, y))
-            combined = F.add(F.scale(l1, scale_a), F.scale(l2, scale_b))
+            ca = t.leaf(np.full((1, 1, 1, 1), scale_a))
+            cb = t.leaf(np.full((1, 1, 1, 1), scale_b))
+            combined = F.add(F.mul(l1, ca), F.mul(l2, cb))
             g = backward(t, combined)
             return g.get(x.id)
 
@@ -198,6 +200,54 @@ class TestRegistry:
 
     def test_cross_tape_operands_rejected(self):
         t1, t2 = Tape(), Tape()
+        a = t1.leaf(np.ones((1, 1, 1, 1)))
+        b = t2.leaf(np.ones((1, 1, 1, 1)))
+        with pytest.raises(AutogradError, match="different tapes"):
+            F.add(a, b)
+
+    def test_every_registered_op_passes_its_finite_difference_check(self):
+        from caggnet.autograd import RULES
+        from caggnet.gradcheck import op_checks
+
+        passed = [r.op for r in op_checks() if r.passed]
+        for op in RULES:
+            assert any(name == op or name.startswith(op + "_") for name in passed), \
+                f"{op} has no passing finite-difference report"
+
+
+class TestNoGrad:
+    def test_records_nothing(self):
+        t = Tape(grad=False)
+        x = leaf(t, np.full((1, 1, 2, 2), 2.0))
+        y = F.sum_all(F.mul(x, x))
+        assert (x.id, y.id) == (-1, -1)
+        assert t.values == [] and t.nodes == []
+        assert t.leaf_id_for(x.value) is None
+        assert float(y.value.reshape(())) == 16.0
+
+    def test_backward_rejected(self):
+        t = Tape(grad=False)
+        loss = F.sum_all(leaf(t, np.ones((1, 1, 2, 2))))
+        with pytest.raises(AutogradError, match="recording tape"):
+            backward(t, loss)
+
+    def test_mixed_dtypes_rejected(self):
+        t = Tape(grad=False)
+        x = t.leaf(np.ones((1, 1, 1, 1), dtype=np.float64))
+        with pytest.raises(AutogradError, match="mixed"):
+            t.leaf(np.ones((1, 1, 1, 1), dtype=np.float32))
+        with pytest.raises(AutogradError, match="mixed"):
+            t.record("add", (x, x), np.ones((1, 1, 1, 1), dtype=np.float32))
+
+    def test_unregistered_op_rejected(self):
+        t = Tape(grad=False)
+        x = t.leaf(np.ones((1, 1, 1, 1)))
+        with pytest.raises(AutogradError, match="no registered backward"):
+            t.record("no_such_op", (x,), np.ones((1, 1, 1, 1)))
+
+    @pytest.mark.parametrize("grads", [(False, False), (False, True), (True, False)])
+    def test_cross_tape_operands_rejected(self, grads):
+        t1, t2 = Tape(grad=grads[0]), Tape(grad=grads[1])
         a = t1.leaf(np.ones((1, 1, 1, 1)))
         b = t2.leaf(np.ones((1, 1, 1, 1)))
         with pytest.raises(AutogradError, match="different tapes"):

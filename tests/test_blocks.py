@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from caggnet import functional as F
-from caggnet import nn_ops
 from caggnet.autograd import Tape
 from caggnet.blocks import (
     CamNode,
@@ -16,7 +15,7 @@ from caggnet.blocks import (
     wam_head,
 )
 from caggnet.nn_ops import BatchNormState, Conv2dParams
-from caggnet.tensor_core import ShapeError, Tensor4
+from caggnet.tensor_core import ShapeError
 
 BN_EVAL_SCALE = 1.0 / math.sqrt(1.0 + 1e-5)  # fresh running stats: mean 0, var 1
 
@@ -44,6 +43,14 @@ def make_block(c_in, c_out, rng=None, zero=False):
         conv2 = make_conv(c_out, c_out, 3, rng)
     return ConvBlock(conv1=conv1, bn1=make_bn(c_out), conv2=conv2,
                      bn2=make_bn(c_out))
+
+
+def conv(t, x, p):
+    return F.conv2d(x, t.leaf(p.weight), t.leaf(p.bias))
+
+
+def bn(t, x, s, training):
+    return F.batchnorm2d(x, t.leaf(s.gamma), t.leaf(s.beta), s, training)
 
 
 def run_on_tape(fn, *arrays):
@@ -78,14 +85,15 @@ class TestConvBlock:
         x = rng.normal(size=(2, 2, 6, 6))
         out = run_on_tape(
             lambda t, v: conv_block_forward(v, block, training=training), x)
-        # independent composition from the public single-op functions
-        h = nn_ops.conv2d(Tensor4(x.copy()), block.conv1)
-        h = nn_ops.batchnorm2d(h, block.bn1, training)
-        h = nn_ops.relu(h)
-        h = nn_ops.conv2d(h, block.conv2)
-        h = nn_ops.batchnorm2d(h, block.bn2, training)
-        h = nn_ops.relu(h)
-        assert np.array_equal(out.value, h.data)
+        # independent composition from the single ops, on a no-grad tape
+        t = Tape(grad=False)
+        h = conv(t, t.leaf(x.copy()), block.conv1)
+        h = bn(t, h, block.bn1, training)
+        h = F.relu(h)
+        h = conv(t, h, block.conv2)
+        h = bn(t, h, block.bn2, training)
+        h = F.relu(h)
+        assert np.array_equal(out.value, h.value)
 
 
 class TestCamForward:
@@ -195,14 +203,13 @@ class TestWabForward:
         wab = self.make_wab(6, 3, rng=rng)
         x = rng.normal(size=(2, 6, 4, 4))
         out = run_on_tape(lambda t, v: wab_forward(v, wab), x)
-        from caggnet.tensor_core import channel_scale
-
-        xt = Tensor4(x.copy())
-        v = nn_ops.global_avg_pool(xt)
-        v = nn_ops.relu(nn_ops.conv2d(v, wab.fc1))
-        w = nn_ops.sigmoid(nn_ops.conv2d(v, wab.fc2))
-        expect = channel_scale(xt, w)
-        assert np.array_equal(out.value, expect.data)
+        t = Tape(grad=False)
+        xt = t.leaf(x.copy())
+        v = F.global_avg_pool(xt)
+        v = F.relu(conv(t, v, wab.fc1))
+        w = F.sigmoid(conv(t, v, wab.fc2))
+        expect = F.channel_scale(xt, w)
+        assert np.array_equal(out.value, expect.value)
 
     def test_reduction_must_divide(self, rng):
         with pytest.raises(ShapeError, match="reduction"):
@@ -219,15 +226,14 @@ class TestWamHead:
         t = Tape()
         out = wam_head([t.leaf(x)], [wab], [], head)
 
-        xt = Tensor4(x.copy())
-        from caggnet.tensor_core import channel_scale
-
-        v = nn_ops.global_avg_pool(xt)
-        v = nn_ops.relu(nn_ops.conv2d(v, wab.fc1))
-        wv = nn_ops.sigmoid(nn_ops.conv2d(v, wab.fc2))
-        gated = channel_scale(xt, wv)
-        expect = nn_ops.sigmoid(nn_ops.conv2d(gated, head))
-        assert np.array_equal(out.value, expect.data)
+        t = Tape(grad=False)
+        xt = t.leaf(x.copy())
+        v = F.global_avg_pool(xt)
+        v = F.relu(conv(t, v, wab.fc1))
+        wv = F.sigmoid(conv(t, v, wab.fc2))
+        gated = F.channel_scale(xt, wv)
+        expect = F.sigmoid(conv(t, gated, head))
+        assert np.array_equal(out.value, expect.value)
 
     def test_probability_map_contract(self, rng):
         levels, c0, size = 4, 2, 64

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import caggnet
 from caggnet.cli import CliError, load_config, main
 
 
@@ -147,6 +151,34 @@ class TestEval:
         assert main(["eval", "--checkpoint", str(tmp_path / "ckpt3"),
                      "--data", str(dataset), "--out", str(tmp_path / "e")]) == 1
 
+    def fresh_checkpoint(self, tmp_path):
+        from caggnet.models import ModelConfig, build_caggnet, save_checkpoint
+
+        ckpt = tmp_path / "ckpt"
+        save_checkpoint(ckpt, build_caggnet(ModelConfig(levels=2, columns=1,
+                                                        base_channels=2)))
+        return ckpt
+
+    def test_unknown_checkpoint_parameter_exits_1(self, dataset, tmp_path, capsys):
+        ckpt = self.fresh_checkpoint(tmp_path)
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        manifest["params"].append(dict(manifest["params"][0], name="stray.weight"))
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(dataset),
+                     "--out", str(tmp_path / "e")]) == 1
+        err = capsys.readouterr().err
+        assert "stray.weight" in err and str(ckpt) in err
+
+    def test_split_without_manifest_split_exits_1(self, dataset, tmp_path, capsys):
+        ckpt = self.fresh_checkpoint(tmp_path)
+        manifest = json.loads((dataset / "manifest.json").read_text())
+        del manifest["split"]
+        (dataset / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(dataset),
+                     "--out", str(tmp_path / "e"), "--split", "val"]) == 1
+        assert str(dataset) in capsys.readouterr().err
+        assert not (tmp_path / "e" / "metrics.csv").exists()
+
     def test_missing_checkpoint_exits_1(self, dataset, tmp_path):
         assert main(["eval", "--checkpoint", str(tmp_path / "nope"),
                      "--data", str(dataset), "--out", str(tmp_path / "e")]) == 1
@@ -173,3 +205,46 @@ class TestGradcheckCommand:
 
     def test_unknown_corrupt_target(self):
         assert main(["gradcheck", "--scope", "ops", "--corrupt", "nope"]) == 1
+
+
+class TestThreads:
+    BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                 "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+    # runs the console entry point in a fresh interpreter and reports
+    # whether numpy was loaded before main ran, the exit code, and the
+    # BLAS thread variables numpy was loaded under
+    SCRIPT = (
+        "import os, sys\n"
+        "import caggnet.cli\n"
+        "early = 'numpy' in sys.modules\n"
+        "code = caggnet.cli.main(sys.argv[1:])\n"
+        "print(early, code, 'numpy' in sys.modules, *[os.environ.get(v) for v in {vars!r}])\n"
+    )
+
+    @pytest.mark.parametrize("flag,config,env,expect", [
+        (None, None, None, "1"),
+        (None, None, "3", "3"),
+        (None, 2, "3", "2"),
+        (4, 2, "3", "4"),
+    ])
+    def test_threads_pinned_before_numpy_loads(self, tmp_path, flag, config, env,
+                                               expect):
+        args = ["synth", "--out", str(tmp_path / "d"), "--count", "1",
+                "--size", "16"]
+        if flag is not None:
+            args += ["--threads", str(flag)]
+        if config is not None:
+            (tmp_path / "c.json").write_text(json.dumps({"threads": config}))
+            args += ["--config", str(tmp_path / "c.json")]
+        child_env = {k: v for k, v in os.environ.items()
+                     if k not in self.BLAS_VARS and k != "CAGGNET_THREADS"}
+        child_env["PYTHONPATH"] = str(Path(caggnet.__file__).parents[1])
+        if env is not None:
+            child_env["CAGGNET_THREADS"] = env
+        script = self.SCRIPT.format(vars=self.BLAS_VARS)
+        done = subprocess.run([sys.executable, "-c", script, *args], env=child_env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        early, code, loaded, *values = done.stdout.splitlines()[-1].split()
+        assert (early, code, loaded) == ("False", "0", "True")
+        assert values == [expect] * len(self.BLAS_VARS)

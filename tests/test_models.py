@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from caggnet import functional as F
-from caggnet.autograd import Tape
+from caggnet import models
+from caggnet.autograd import AutogradError, Tape, backward
 from caggnet.blocks import cam_forward, conv_block_forward, wam_head
 from caggnet.models import (
     ConfigError,
@@ -191,6 +192,39 @@ class TestForward:
             col.append(h)
         expect = wam_head(col[::-1], model.wabs[::-1], model.fuse, model.head)
         assert np.array_equal(got, expect.value)
+
+
+class TestNoGradForward:
+    @pytest.mark.parametrize("builder", [build_caggnet, build_unet])
+    def test_eval_forward_records_nothing(self, rng, tiny_cfg, builder):
+        model = builder(tiny_cfg)
+        x = Tensor4(rng.uniform(0, 1, size=(2, 1, 8, 8)))
+        fp = forward(model, x, training=False)
+        assert len(fp.tape.nodes) == 0 and len(fp.tape.values) == 0
+        assert np.array_equal(fp.probs_var.value, fp.probs.data)
+        assert len(forward(model, x, training=True).tape.nodes) > 0
+
+    @pytest.mark.parametrize("builder", [build_caggnet, build_unet])
+    def test_probs_match_a_recording_eval_forward(self, rng, tiny_cfg, builder,
+                                                  monkeypatch):
+        model = builder(tiny_cfg)
+        x = Tensor4(rng.uniform(0, 1, size=(2, 1, 8, 8)))
+        plain = forward(model, x, training=False)
+        # the same eval forward, but on a tape that records every op
+        monkeypatch.setattr(models, "Tape", lambda grad=True: Tape())
+        recorded = forward(model, x, training=False)
+        assert len(recorded.tape.nodes) > 0
+        assert plain.probs.data.tobytes() == recorded.probs.data.tobytes()
+
+    def test_backward_on_eval_pass_rejected(self, rng, tiny_cfg):
+        from caggnet.train import traced_bce_loss
+
+        model = build_caggnet(tiny_cfg)
+        x = Tensor4(rng.uniform(0, 1, size=(1, 1, 8, 8)))
+        fp = forward(model, x, training=False)
+        loss = traced_bce_loss(fp.probs_var, (x.data > 0.5).astype(np.float64))
+        with pytest.raises(AutogradError, match="recording tape"):
+            backward(fp.tape, loss)
 
 
 class TestCheckpoint:
