@@ -21,7 +21,7 @@ _EXPORTS = {
                "save_checkpoint"),
     "tensor_core": ("Shape4", "ShapeError", "Tensor4", "TensorError", "zeros"),
     "train": ("AdamState", "EarlyStopper", "FocalLossConfig", "TrainingDiverged",
-              "adam_step", "bce_loss", "focal_loss", "train_loop"),
+              "adam_step", "train_loop"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -175,8 +175,7 @@ def _load_split_dataset(cfg: dict):
     return train, val
 
 
-def cmd_train(args) -> int:
-    cfg = load_config(args.config, _flag_overrides(args))
+def cmd_train(args, cfg: dict) -> int:
     from .train import (AdamState, EarlyStopper, TrainingDiverged, make_loss,
                         train_loop)
 
@@ -215,8 +214,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    cfg = load_config(args.config, _flag_overrides(args))
+def cmd_eval(args, cfg: dict) -> int:
     from . import data_io
     from .metrics import binarize, evaluate_model
     from .models import load_checkpoint
@@ -261,7 +259,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_gradcheck(args) -> int:
+def cmd_gradcheck(args, cfg: dict) -> int:
     from . import autograd, gradcheck
 
     scopes = ["ops", "blocks", "model"] if args.scope == "all" else [args.scope]
@@ -300,8 +298,7 @@ def cmd_gradcheck(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def cmd_synth(args) -> int:
-    cfg = load_config(args.config, _flag_overrides(args))
+def cmd_synth(args, cfg: dict) -> int:
     from . import data_io
 
     try:
@@ -394,16 +391,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        cfg = load_config(args.config, _flag_overrides(args))
         # thread pinning must precede the first numpy import; neither
         # this module nor the package __init__ loads numpy
-        threads = _resolve_threads(load_config(args.config, _flag_overrides(args)))
+        threads = _resolve_threads(cfg)
         if "numpy" not in sys.modules:
             _pin_threads(threads)
-        return args.func(args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as e:
+        return args.func(args, cfg)
+    except (CliError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -1,8 +1,11 @@
 """Finite-difference validation suites for every differentiable op,
 block, and model.
 
-Each entry builds float64 parameters and a scalar loss closure, then runs
-`finite_diff_check`. Inputs are constructed to stay away from the
+Each op and block check is one `_check_op` call: a name, a function of
+the leaf Vars, and the float64 inputs to check it at. `_check_op` turns
+that into a scalar loss closure and runs `finite_diff_check`. The op
+checks form one table in `op_checks`, which draws every input from one
+generator in table order. Inputs are constructed to stay away from the
 non-smooth points of relu/maxpool (values come from shuffled evenly
 spaced grids, so gaps are far larger than the perturbation step) and from
 the probability clamps in the losses. Outputs are reduced to a scalar
@@ -19,7 +22,7 @@ from . import train as T
 from .autograd import CheckReport, Tape, backward, finite_diff_check
 from .blocks import cam_forward, conv_block_forward, wab_forward, wam_head
 from .models import ModelConfig, build_caggnet, build_unet, forward
-from .nn_ops import BatchNormState, Conv2dParams
+from .nn_ops import BatchNormState
 from .tensor_core import Tensor4
 
 
@@ -60,232 +63,94 @@ def _run_check(name, params, build, eps=1e-5, tol=1e-4, max_coords=256,
                              rng=np.random.default_rng(seed), name=name)
 
 
-def _leaves(tape: Tape, params: dict) -> dict:
-    return {name: tape.leaf(arr) for name, arr in params.items()}
-
-
 # --- op-level checks ---------------------------------------------------------
 
-def _check_add(rng):
-    params = {"a": _spread(rng, (2, 3, 4, 4)), "b": _spread(rng, (2, 3, 4, 4))}
-
+def _check_op(name, op, params, reduce=True) -> CheckReport:
+    """Check `op`, which maps a dict of leaf Vars (one per entry of
+    `params`) to a Var; a non-scalar output is reduced through
+    `_weighted_scalar`."""
     def build(p):
         t = Tape()
-        lv = _leaves(t, p)
-        return _weighted_scalar(F.add(lv["a"], lv["b"]),
-                                np.random.default_rng(1)), lv
+        lv = {k: t.leaf(arr) for k, arr in p.items()}
+        out = op(lv)
+        if reduce:
+            out = _weighted_scalar(out, np.random.default_rng(1))
+        return out, lv
 
-    return _run_check("add", params, build)
-
-
-def _check_mul(rng):
-    params = {"a": _spread(rng, (1, 2, 4, 4)), "b": _spread(rng, (1, 2, 4, 4))}
-
-    def build(p):
-        t = Tape()
-        lv = _leaves(t, p)
-        return _weighted_scalar(F.mul(lv["a"], lv["b"]),
-                                np.random.default_rng(1)), lv
-
-    return _run_check("mul", params, build)
+    return _run_check(name, params, build)
 
 
-def _check_sum_all(rng):
-    params = {"a": _spread(rng, (2, 2, 3, 3))}
-
-    def build(p):
-        t = Tape()
-        lv = _leaves(t, p)
-        return F.sum_all(lv["a"]), lv
-
-    return _run_check("sum_all", params, build)
-
-
-def _check_concat_channels(rng):
-    params = {"a": _spread(rng, (2, 2, 4, 4)), "b": _spread(rng, (2, 3, 4, 4))}
-
-    def build(p):
-        t = Tape()
-        lv = _leaves(t, p)
-        return _weighted_scalar(F.concat_channels([lv["a"], lv["b"]]),
-                                np.random.default_rng(1)), lv
-
-    return _run_check("concat_channels", params, build)
-
-
-def _check_channel_scale(rng):
-    params = {"x": _spread(rng, (2, 3, 4, 4)),
-              "w": _spread(rng, (2, 3, 1, 1), 0.1, 0.9)}
-
-    def build(p):
-        t = Tape()
-        lv = _leaves(t, p)
-        return _weighted_scalar(F.channel_scale(lv["x"], lv["w"]),
-                                np.random.default_rng(1)), lv
-
-    return _run_check("channel_scale", params, build)
-
-
-def _check_conv2d(rng, k: int):
-    params = {
-        "x": _spread(rng, (2, 3, 6, 6)),
-        "w": _spread(rng, (4, 3, k, k)),
-        "b": _spread(rng, (4,)),
-    }
-
-    def build(p):
-        t = Tape()
-        lv = _leaves(t, p)
-        return _weighted_scalar(F.conv2d(lv["x"], lv["w"], lv["b"]),
-                                np.random.default_rng(1)), lv
-
-    return _run_check(f"conv2d_k{k}", params, build)
-
-
-def _check_maxpool2(rng):
-    params = {"x": _spread(rng, (2, 3, 6, 6))}
-
-    def build(p):
-        t = Tape()
-        lv = _leaves(t, p)
-        return _weighted_scalar(F.maxpool2(lv["x"]),
-                                np.random.default_rng(1)), lv
-
-    return _run_check("maxpool2", params, build)
-
-
-def _check_upsample_nearest2(rng):
-    params = {"x": _spread(rng, (2, 3, 4, 4))}
-
-    def build(p):
-        t = Tape()
-        lv = _leaves(t, p)
-        return _weighted_scalar(F.upsample_nearest2(lv["x"]),
-                                np.random.default_rng(1)), lv
-
-    return _run_check("upsample_nearest2", params, build)
-
-
-def _bn_state(c: int) -> BatchNormState:
-    return BatchNormState(
-        gamma=np.ones(c), beta=np.zeros(c),
-        running_mean=np.zeros(c), running_var=np.ones(c),
-    )
-
-
-def _check_batchnorm2d(rng, training: bool):
+def _bn_case(rng, training: bool):
     params = {
         "x": _spread(rng, (3, 2, 4, 4)),
         "gamma": _spread(rng, (2,), 0.5, 1.5),
         "beta": _spread(rng, (2,), -0.3, 0.3),
     }
-    state = _bn_state(2)
+    state = BatchNormState(gamma=np.ones(2), beta=np.zeros(2),
+                           running_mean=np.zeros(2), running_var=np.ones(2))
     if not training:
         state.running_mean = rng.uniform(-0.5, 0.5, 2)
         state.running_var = rng.uniform(0.5, 1.5, 2)
-
-    def build(p):
-        t = Tape()
-        lv = _leaves(t, p)
-        out = F.batchnorm2d(lv["x"], lv["gamma"], lv["beta"], state, training)
-        return _weighted_scalar(out, np.random.default_rng(1)), lv
-
-    mode = "train" if training else "eval"
-    return _run_check(f"batchnorm2d_{mode}", params, build)
+    return (lambda v: F.batchnorm2d(v["x"], v["gamma"], v["beta"], state,
+                                    training)), params
 
 
-def _check_relu(rng):
-    params = {"x": _spread(rng, (2, 3, 4, 4), avoid_zero=True)}
-
-    def build(p):
-        t = Tape()
-        lv = _leaves(t, p)
-        return _weighted_scalar(F.relu(lv["x"]), np.random.default_rng(1)), lv
-
-    return _run_check("relu", params, build)
-
-
-def _check_sigmoid(rng):
-    params = {"x": _spread(rng, (2, 3, 4, 4), -3.0, 3.0)}
-
-    def build(p):
-        t = Tape()
-        lv = _leaves(t, p)
-        return _weighted_scalar(F.sigmoid(lv["x"]), np.random.default_rng(1)), lv
-
-    return _run_check("sigmoid", params, build)
-
-
-def _check_global_avg_pool(rng):
-    params = {"x": _spread(rng, (2, 3, 4, 4))}
-
-    def build(p):
-        t = Tape()
-        lv = _leaves(t, p)
-        return _weighted_scalar(F.global_avg_pool(lv["x"]),
-                                np.random.default_rng(1)), lv
-
-    return _run_check("global_avg_pool", params, build)
-
-
-def _loss_target(rng, shape) -> np.ndarray:
-    return (rng.random(shape) < 0.4).astype(np.float64)
-
-
-def _check_bce_loss(rng):
+def _loss_case(rng, loss, *args):
     params = {"p": _spread(rng, (1, 1, 6, 6), 0.05, 0.95)}
-    target = _loss_target(rng, (1, 1, 6, 6))
-
-    def build(p):
-        t = Tape()
-        lv = _leaves(t, p)
-        return T.traced_bce_loss(lv["p"], target), lv
-
-    return _run_check("bce_loss", params, build)
-
-
-def _check_focal_loss(rng, gamma: float):
-    params = {"p": _spread(rng, (1, 1, 6, 6), 0.05, 0.95)}
-    target = _loss_target(rng, (1, 1, 6, 6))
-    cfg = T.FocalLossConfig(alpha=0.25, gamma=gamma)
-
-    def build(p):
-        t = Tape()
-        lv = _leaves(t, p)
-        return T.traced_focal_loss(lv["p"], target, cfg), lv
-
-    return _run_check(f"focal_loss_g{gamma:g}", params, build)
+    target = (rng.random((1, 1, 6, 6)) < 0.4).astype(np.float64)
+    return (lambda v: loss(v["p"], target, *args)), params
 
 
 def op_checks(seed: int = 0) -> list[CheckReport]:
     """One finite-difference report per registered differentiable op."""
     rng = np.random.default_rng(seed)
+
+    def s(shape, *args, **kwargs):
+        return _spread(rng, shape, *args, **kwargs)
+
+    def conv(v):
+        return F.conv2d(v["x"], v["w"], v["b"])
+
     return [
-        _check_add(rng),
-        _check_mul(rng),
-        _check_sum_all(rng),
-        _check_concat_channels(rng),
-        _check_channel_scale(rng),
-        _check_conv2d(rng, 3),
-        _check_conv2d(rng, 1),
-        _check_maxpool2(rng),
-        _check_upsample_nearest2(rng),
-        _check_batchnorm2d(rng, True),
-        _check_batchnorm2d(rng, False),
-        _check_relu(rng),
-        _check_sigmoid(rng),
-        _check_global_avg_pool(rng),
-        _check_bce_loss(rng),
-        _check_focal_loss(rng, 2.0),
-        _check_focal_loss(rng, 0.0),
+        _check_op("add", lambda v: F.add(v["a"], v["b"]),
+                  {"a": s((2, 3, 4, 4)), "b": s((2, 3, 4, 4))}),
+        _check_op("mul", lambda v: F.mul(v["a"], v["b"]),
+                  {"a": s((1, 2, 4, 4)), "b": s((1, 2, 4, 4))}),
+        _check_op("sum_all", lambda v: F.sum_all(v["a"]),
+                  {"a": s((2, 2, 3, 3))}, reduce=False),
+        _check_op("concat_channels", lambda v: F.concat_channels([v["a"], v["b"]]),
+                  {"a": s((2, 2, 4, 4)), "b": s((2, 3, 4, 4))}),
+        _check_op("channel_scale", lambda v: F.channel_scale(v["x"], v["w"]),
+                  {"x": s((2, 3, 4, 4)), "w": s((2, 3, 1, 1), 0.1, 0.9)}),
+        _check_op("conv2d_k3", conv,
+                  {"x": s((2, 3, 6, 6)), "w": s((4, 3, 3, 3)), "b": s((4,))}),
+        _check_op("conv2d_k1", conv,
+                  {"x": s((2, 3, 6, 6)), "w": s((4, 3, 1, 1)), "b": s((4,))}),
+        _check_op("maxpool2", lambda v: F.maxpool2(v["x"]),
+                  {"x": s((2, 3, 6, 6))}),
+        _check_op("upsample_nearest2", lambda v: F.upsample_nearest2(v["x"]),
+                  {"x": s((2, 3, 4, 4))}),
+        _check_op("batchnorm2d_train", *_bn_case(rng, True)),
+        _check_op("batchnorm2d_eval", *_bn_case(rng, False)),
+        _check_op("relu", lambda v: F.relu(v["x"]),
+                  {"x": s((2, 3, 4, 4), avoid_zero=True)}),
+        _check_op("sigmoid", lambda v: F.sigmoid(v["x"]),
+                  {"x": s((2, 3, 4, 4), -3.0, 3.0)}),
+        _check_op("global_avg_pool", lambda v: F.global_avg_pool(v["x"]),
+                  {"x": s((2, 3, 4, 4))}),
+        _check_op("bce_loss", *_loss_case(rng, T.traced_bce_loss), reduce=False),
+        _check_op("focal_loss_g2",
+                  *_loss_case(rng, T.traced_focal_loss,
+                              T.FocalLossConfig(alpha=0.25, gamma=2.0)),
+                  reduce=False),
+        _check_op("focal_loss_g0",
+                  *_loss_case(rng, T.traced_focal_loss,
+                              T.FocalLossConfig(alpha=0.25, gamma=0.0)),
+                  reduce=False),
     ]
 
 
 # --- block-level checks --------------------------------------------------------
-
-def _tiny_model_store_params(model) -> dict[str, np.ndarray]:
-    return {name: arr for name, arr in model.params.named_trainable()}
-
 
 def _check_conv_block(rng):
     cfg = ModelConfig(levels=2, columns=1, base_channels=2, in_channels=1,
@@ -293,18 +158,12 @@ def _check_conv_block(rng):
     model = build_caggnet(cfg)
     block = model.encoder[0]
     x = _spread(rng, (2, 1, 6, 6))
-    params = dict(_tiny_model_store_params(model))
-    params = {k: v for k, v in params.items() if k.startswith("enc0.")}
+    params = {name: arr for name, arr in model.params.named_trainable()
+              if name.startswith("enc0.")}
     params["x"] = x
-
-    def build(p):
-        t = Tape()
-        xv = t.leaf(p["x"])
-        out = conv_block_forward(xv, block, training=True)
-        leaves = {k: t.leaf(arr) for k, arr in p.items()}
-        return _weighted_scalar(out, np.random.default_rng(1)), leaves
-
-    return _run_check("conv_block", params, build)
+    return _check_op("conv_block",
+                     lambda v: conv_block_forward(v["x"], block, training=True),
+                     params)
 
 
 def _make_cam_node(rng, z_channels: int, out_channels: int):
@@ -329,17 +188,11 @@ def _check_cam(rng, above: bool, below: bool):
     if below:
         params["below"] = _spread(rng, (1, 2 * c, 2, 2))
 
-    def build(p):
-        t = Tape()
-        same = t.leaf(p["same"])
-        va = t.leaf(p["above"]) if above else None
-        vb = t.leaf(p["below"]) if below else None
-        out = cam_forward(same, va, vb, node, training=True)
-        leaves = {k: t.leaf(arr) for k, arr in p.items()}
-        return _weighted_scalar(out, np.random.default_rng(1)), leaves
-
     tag = f"cam_{'a' if above else '-'}{'b' if below else '-'}"
-    return _run_check(tag, params, build)
+    return _check_op(tag, lambda v: cam_forward(v["same"], v.get("above"),
+                                                v.get("below"), node,
+                                                training=True),
+                     params)
 
 
 def _check_wab(rng):
@@ -349,14 +202,7 @@ def _check_wab(rng):
     wab = _init_wab(store, "wab", 4, 2, np.random.default_rng(17), np.float64)
     params = {name: arr for name, arr in store.named_trainable()}
     params["x"] = _spread(rng, (2, 4, 4, 4))
-
-    def build(p):
-        t = Tape()
-        out = wab_forward(t.leaf(p["x"]), wab)
-        leaves = {k: t.leaf(arr) for k, arr in p.items()}
-        return _weighted_scalar(out, np.random.default_rng(1)), leaves
-
-    return _run_check("wab", params, build)
+    return _check_op("wab", lambda v: wab_forward(v["x"], wab), params)
 
 
 def _check_wam(rng):
@@ -367,15 +213,10 @@ def _check_wam(rng):
               if name.startswith(("wab", "fuse", "head"))}
     params["f0"] = _spread(rng, (1, 2, 8, 8))
     params["f1"] = _spread(rng, (1, 4, 4, 4))
-
-    def build(p):
-        t = Tape()
-        feats = [t.leaf(p["f1"]), t.leaf(p["f0"])]  # deepest first
-        out = wam_head(feats, model.wabs[::-1], model.fuse, model.head)
-        leaves = {k: t.leaf(arr) for k, arr in p.items()}
-        return _weighted_scalar(out, np.random.default_rng(1)), leaves
-
-    return _run_check("wam_head", params, build)
+    return _check_op("wam_head",
+                     lambda v: wam_head([v["f1"], v["f0"]],  # deepest first
+                                        model.wabs[::-1], model.fuse, model.head),
+                     params)
 
 
 def block_checks(seed: int = 0) -> list[CheckReport]:

@@ -406,6 +406,7 @@ def forward(model, x: Tensor4, training: bool = False) -> ForwardPass:
 # --- checkpointing ----------------------------------------------------------
 
 CHECKPOINT_MANIFEST = "manifest.json"
+CHECKPOINT_FORMAT = 1
 
 
 def save_checkpoint(directory, model) -> None:
@@ -428,7 +429,7 @@ def save_checkpoint(directory, model) -> None:
             "file": fname,
         })
     manifest = {
-        "format": 1,
+        "format": CHECKPOINT_FORMAT,
         "arch": model.arch,
         "config": asdict(model.cfg),
         "params": entries,
@@ -443,6 +444,9 @@ def load_checkpoint(directory):
     directory = Path(directory)
     with open(directory / CHECKPOINT_MANIFEST) as fh:
         manifest = json.load(fh)
+    if manifest.get("format") != CHECKPOINT_FORMAT:
+        raise ConfigError(f"checkpoint {directory} has format "
+                          f"{manifest.get('format')!r}; expected {CHECKPOINT_FORMAT}")
     cfg = ModelConfig(**manifest["config"])
     if manifest["arch"] == "caggnet":
         model = build_caggnet(cfg)

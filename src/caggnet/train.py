@@ -8,6 +8,12 @@ probabilities away from 0 and 1 before taking logs. The focal loss
 uses P_t = p where the target is 1 and 1 - p where it is 0, with
 alpha_t = alpha and 1 - alpha respectively; gamma = 0 and alpha = 0.5
 recover half the binary cross entropy.
+
+Each loss is defined once, the way `functional` defines an op: one
+forward (`traced_bce_loss`, `traced_focal_loss`) that validates, computes
+and records a node, plus one backward rule registered in `autograd.RULES`
+under `bce_loss`/`focal_loss`. A loss value outside training is the same
+forward on a ``Tape(grad=False)``.
 """
 
 from __future__ import annotations
@@ -27,6 +33,11 @@ class TrainingDiverged(RuntimeError):
     """Raised when the loss or a gradient stops being finite."""
 
 
+def _check_clamp_eps(clamp_eps: float) -> None:
+    if not 0.0 < clamp_eps < 1e-3:
+        raise ValueError(f"clamp_eps must be in (0, 1e-3), got {clamp_eps}")
+
+
 @dataclass
 class FocalLossConfig:
     alpha: float = 0.25
@@ -38,8 +49,7 @@ class FocalLossConfig:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.gamma < 0.0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if not 0.0 < self.clamp_eps < 1e-3:
-            raise ValueError(f"clamp_eps must be in (0, 1e-3), got {self.clamp_eps}")
+        _check_clamp_eps(self.clamp_eps)
 
 
 def _check_loss_inputs(pred: np.ndarray, target: np.ndarray) -> None:
@@ -49,33 +59,44 @@ def _check_loss_inputs(pred: np.ndarray, target: np.ndarray) -> None:
         raise TensorError("loss target must be strictly binary")
 
 
-def _bce_fwd(pred: np.ndarray, target: np.ndarray, clamp_eps: float) -> np.ndarray:
-    _check_loss_inputs(pred, target)
-    p = np.clip(pred, clamp_eps, 1.0 - clamp_eps)
+def traced_bce_loss(pred: Var, target: np.ndarray,
+                    clamp_eps: float = 1e-7) -> Var:
+    """Mean binary cross entropy between a probability map and a mask."""
+    pv = pred.value
+    target = np.asarray(target, dtype=pv.dtype)
+    _check_loss_inputs(pv, target)
+    p = np.clip(pv, clamp_eps, 1.0 - clamp_eps)
     loss = -(target * np.log(p) + (1.0 - target) * np.log1p(-p)).mean()
-    return np.asarray(loss, dtype=pred.dtype).reshape(1, 1, 1, 1)
+    out = np.asarray(loss, dtype=pv.dtype).reshape(1, 1, 1, 1)
+    return pred.tape.record("bce_loss", (pred,), out,
+                            ctx=(pv, target, clamp_eps))
 
 
-def _bce_bwd(g: np.ndarray, pred: np.ndarray, target: np.ndarray,
-             clamp_eps: float) -> np.ndarray:
+def _bce_loss_bwd(node: TapeNode, g: np.ndarray):
+    pred, target, clamp_eps = node.ctx
     p = np.clip(pred, clamp_eps, 1.0 - clamp_eps)
     inside = (pred >= clamp_eps) & (pred <= 1.0 - clamp_eps)
     dp = -(target / p - (1.0 - target) / (1.0 - p)) / pred.size
-    return (g.reshape(()) * dp * inside).astype(pred.dtype)
+    return ((g.reshape(()) * dp * inside).astype(pred.dtype),)
 
 
-def _focal_fwd(pred: np.ndarray, target: np.ndarray, alpha: float,
-               gamma: float, clamp_eps: float) -> np.ndarray:
-    _check_loss_inputs(pred, target)
-    p = np.clip(pred, clamp_eps, 1.0 - clamp_eps)
+def traced_focal_loss(pred: Var, target: np.ndarray, cfg: FocalLossConfig) -> Var:
+    """Mean focal loss between a probability map and a mask."""
+    pv = pred.value
+    target = np.asarray(target, dtype=pv.dtype)
+    _check_loss_inputs(pv, target)
+    alpha, gamma, clamp_eps = cfg.alpha, cfg.gamma, cfg.clamp_eps
+    p = np.clip(pv, clamp_eps, 1.0 - clamp_eps)
     pt = np.where(target == 1, p, 1.0 - p)
     at = np.where(target == 1, alpha, 1.0 - alpha)
     loss = (at * (1.0 - pt) ** gamma * -np.log(pt)).mean()
-    return np.asarray(loss, dtype=pred.dtype).reshape(1, 1, 1, 1)
+    out = np.asarray(loss, dtype=pv.dtype).reshape(1, 1, 1, 1)
+    return pred.tape.record("focal_loss", (pred,), out,
+                            ctx=(pv, target, alpha, gamma, clamp_eps))
 
 
-def _focal_bwd(g: np.ndarray, pred: np.ndarray, target: np.ndarray,
-               alpha: float, gamma: float, clamp_eps: float) -> np.ndarray:
+def _focal_loss_bwd(node: TapeNode, g: np.ndarray):
+    pred, target, alpha, gamma, clamp_eps = node.ctx
     p = np.clip(pred, clamp_eps, 1.0 - clamp_eps)
     pt = np.where(target == 1, p, 1.0 - p)
     at = np.where(target == 1, alpha, 1.0 - alpha)
@@ -84,50 +105,11 @@ def _focal_bwd(g: np.ndarray, pred: np.ndarray, target: np.ndarray,
                  - gamma * (1.0 - pt) ** (gamma - 1.0) * np.log(pt))
     sign = np.where(target == 1, 1.0, -1.0)
     inside = (pred >= clamp_eps) & (pred <= 1.0 - clamp_eps)
-    return (g.reshape(()) * dpt * sign * inside / pred.size).astype(pred.dtype)
+    return ((g.reshape(()) * dpt * sign * inside / pred.size).astype(pred.dtype),)
 
 
-def bce_loss(pred: Tensor4, target: Tensor4, clamp_eps: float = 1e-7) -> float:
-    """Mean binary cross entropy between a probability map and a mask."""
-    return float(_bce_fwd(pred.data, target.data, clamp_eps).reshape(()))
-
-
-def focal_loss(pred: Tensor4, target: Tensor4, cfg: FocalLossConfig) -> float:
-    """Mean focal loss between a probability map and a mask."""
-    return float(
-        _focal_fwd(pred.data, target.data, cfg.alpha, cfg.gamma,
-                   cfg.clamp_eps).reshape(())
-    )
-
-
-def traced_bce_loss(pred: Var, target: np.ndarray,
-                    clamp_eps: float = 1e-7) -> Var:
-    target = np.asarray(target, dtype=pred.value.dtype)
-    out = _bce_fwd(pred.value, target, clamp_eps)
-    return pred.tape.record("bce_loss", (pred,), out,
-                            ctx=(pred.value, target, clamp_eps))
-
-
-def _bce_rule(node: TapeNode, g: np.ndarray):
-    pred, target, eps = node.ctx
-    return (_bce_bwd(g, pred, target, eps),)
-
-
-def traced_focal_loss(pred: Var, target: np.ndarray, cfg: FocalLossConfig) -> Var:
-    target = np.asarray(target, dtype=pred.value.dtype)
-    out = _focal_fwd(pred.value, target, cfg.alpha, cfg.gamma, cfg.clamp_eps)
-    return pred.tape.record("focal_loss", (pred,), out,
-                            ctx=(pred.value, target, cfg.alpha, cfg.gamma,
-                                 cfg.clamp_eps))
-
-
-def _focal_rule(node: TapeNode, g: np.ndarray):
-    pred, target, alpha, gamma, eps = node.ctx
-    return (_focal_bwd(g, pred, target, alpha, gamma, eps),)
-
-
-register_backward("bce_loss", _bce_rule)
-register_backward("focal_loss", _focal_rule)
+register_backward("bce_loss", _bce_loss_bwd)
+register_backward("focal_loss", _focal_loss_bwd)
 
 
 @dataclass
@@ -225,6 +207,7 @@ def make_loss(kind: str, *, alpha: float = 0.25, gamma: float = 2.0,
               clamp_eps: float = 1e-7):
     """Traced loss closure loss(pred_var, target_array) -> scalar Var."""
     if kind == "bce":
+        _check_clamp_eps(clamp_eps)
         return lambda pred, target: traced_bce_loss(pred, target, clamp_eps)
     if kind == "focal":
         cfg = FocalLossConfig(alpha=alpha, gamma=gamma, clamp_eps=clamp_eps)

@@ -91,6 +91,16 @@ class TestTrain:
     def test_no_dataset_flag_exits_1(self, tmp_path):
         assert main(["train", "--out", str(tmp_path / "r")]) == 1
 
+    @pytest.mark.parametrize("clamp_eps", [0.5, 0.0])
+    def test_bce_clamp_eps_out_of_range_exits_1(self, dataset, tmp_path, capsys,
+                                                 clamp_eps):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"loss": {"kind": "bce", "clamp_eps": clamp_eps}}))
+        assert main(["train", "--config", str(cfg), "--data", str(dataset),
+                     "--out", str(tmp_path / "r")] + self.TRAIN_ARGS) == 1
+        assert "clamp_eps" in capsys.readouterr().err
+        assert not (tmp_path / "r" / "train_log.csv").exists()
+
     def test_deterministic_reruns(self, dataset, tmp_path):
         outs = []
         for name in ("r1", "r2"):
@@ -168,6 +178,17 @@ class TestEval:
                      "--out", str(tmp_path / "e")]) == 1
         err = capsys.readouterr().err
         assert "stray.weight" in err and str(ckpt) in err
+
+    def test_unknown_checkpoint_format_exits_1(self, dataset, tmp_path, capsys):
+        ckpt = self.fresh_checkpoint(tmp_path)
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        manifest["format"] = 99
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(dataset),
+                     "--out", str(tmp_path / "e")]) == 1
+        err = capsys.readouterr().err
+        assert "format" in err and str(ckpt) in err
+        assert not (tmp_path / "e" / "metrics.csv").exists()
 
     def test_split_without_manifest_split_exits_1(self, dataset, tmp_path, capsys):
         ckpt = self.fresh_checkpoint(tmp_path)

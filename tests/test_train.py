@@ -12,8 +12,6 @@ from caggnet.train import (
     FocalLossConfig,
     TrainingDiverged,
     adam_step,
-    bce_loss,
-    focal_loss,
     make_loss,
     traced_bce_loss,
     traced_focal_loss,
@@ -25,24 +23,37 @@ def prob_map(data):
     return Tensor4(np.asarray(data, dtype=np.float64))
 
 
+def loss_value(loss, pred, target, *args) -> float:
+    """A traced loss evaluated on a tape that records nothing."""
+    pv = Tape(grad=False).leaf(pred.data)
+    return float(loss(pv, target.data, *args).value.reshape(()))
+
+
 class TestBceLoss:
     def test_uniform_half_is_ln2(self):
         pred = prob_map(np.full((1, 1, 4, 4), 0.5))
         target = prob_map((np.arange(16).reshape(1, 1, 4, 4) % 2).astype(float))
-        assert abs(bce_loss(pred, target) - math.log(2.0)) < 1e-12
+        assert abs(loss_value(traced_bce_loss, pred, target) - math.log(2.0)) < 1e-12
 
     def test_perfect_prediction_near_zero(self):
         target = prob_map([[[[0.0, 1.0], [1.0, 0.0]]]])
-        assert bce_loss(target, target) < 1e-6
+        assert loss_value(traced_bce_loss, target, target) < 1e-6
 
     def test_single_pixel_hand_value(self):
         # -ln(0.9) for p = 0.9, y = 1
-        loss = bce_loss(prob_map([[[[0.9]]]]), prob_map([[[[1.0]]]]))
+        loss = loss_value(traced_bce_loss, prob_map([[[[0.9]]]]),
+                          prob_map([[[[1.0]]]]))
         assert abs(loss - 0.10536051565782628) < 1e-15
 
     def test_non_binary_target_rejected(self):
         with pytest.raises(TensorError, match="binary"):
-            bce_loss(prob_map([[[[0.5]]]]), prob_map([[[[0.5]]]]))
+            loss_value(traced_bce_loss, prob_map([[[[0.5]]]]),
+                       prob_map([[[[0.5]]]]))
+
+    @pytest.mark.parametrize("clamp_eps", [0.5, 0.0])
+    def test_make_loss_checks_clamp_eps(self, clamp_eps):
+        with pytest.raises(ValueError, match="clamp_eps"):
+            make_loss("bce", clamp_eps=clamp_eps)
 
 
 class TestFocalLoss:
@@ -51,20 +62,21 @@ class TestFocalLoss:
         for _ in range(50):
             pred = prob_map(rng.uniform(0.02, 0.98, size=(1, 1, 5, 5)))
             target = prob_map((rng.random((1, 1, 5, 5)) < 0.5).astype(float))
-            fl = focal_loss(pred, target, cfg)
-            ref = 0.5 * bce_loss(pred, target)
+            fl = loss_value(traced_focal_loss, pred, target, cfg)
+            ref = 0.5 * loss_value(traced_bce_loss, pred, target)
             assert abs(fl - ref) <= 1e-9 * abs(ref)
 
     def test_confident_correct_prediction_near_zero(self):
         cfg = FocalLossConfig(alpha=0.25, gamma=2.0, clamp_eps=1e-7)
         pred = prob_map(np.full((1, 1, 2, 2), 1.0 - 1e-7))
         target = prob_map(np.ones((1, 1, 2, 2)))
-        assert focal_loss(pred, target, cfg) < 1e-12
+        assert loss_value(traced_focal_loss, pred, target, cfg) < 1e-12
 
     def test_hand_value(self):
         # alpha (1-p)^gamma (-ln p) = 0.25 * 0.25 * ln 2 at p = 0.5, y = 1
         cfg = FocalLossConfig(alpha=0.25, gamma=2.0)
-        loss = focal_loss(prob_map([[[[0.5]]]]), prob_map([[[[1.0]]]]), cfg)
+        loss = loss_value(traced_focal_loss, prob_map([[[[0.5]]]]),
+                          prob_map([[[[1.0]]]]), cfg)
         assert abs(loss - 0.25 * 0.25 * math.log(2.0)) < 1e-15
         assert abs(loss - 0.043321698784996581) < 1e-15
 
@@ -72,7 +84,8 @@ class TestFocalLoss:
         cfg = FocalLossConfig(alpha=0.25, gamma=2.0)
         target = prob_map([[[[1.0]]]])
         grid = np.linspace(0.02, 0.98, 49)
-        losses = [focal_loss(prob_map([[[[p]]]]), target, cfg) for p in grid]
+        losses = [loss_value(traced_focal_loss, prob_map([[[[p]]]]), target, cfg)
+                  for p in grid]
         assert all(a > b for a, b in zip(losses, losses[1:]))
 
     @pytest.mark.parametrize("field,value", [("alpha", 0.0), ("alpha", 1.0),
@@ -88,12 +101,13 @@ class TestFocalLoss:
         pred = rng.uniform(0.05, 0.95, size=(1, 1, 4, 4))
         target = (rng.random((1, 1, 4, 4)) < 0.5).astype(np.float64)
         cfg = FocalLossConfig(alpha=0.3, gamma=1.5)
-        t = Tape()
-        pv = t.leaf(pred)
-        assert float(traced_bce_loss(pv, target).value.reshape(())) == \
-            bce_loss(Tensor4(pred.copy()), Tensor4(target.copy()))
-        assert float(traced_focal_loss(pv, target, cfg).value.reshape(())) == \
-            focal_loss(Tensor4(pred.copy()), Tensor4(target.copy()), cfg)
+        recording, plain = Tape(), Tape(grad=False)
+        for loss, args in ((traced_bce_loss, ()), (traced_focal_loss, (cfg,))):
+            recorded = loss(recording.leaf(pred), target, *args).value
+            assert loss(plain.leaf(pred), target, *args).value.tobytes() == \
+                recorded.tobytes()
+        assert len(recording.nodes) == 2
+        assert plain.nodes == [] and plain.values == []
 
     def test_loss_gradients_pass_fd(self):
         from caggnet.gradcheck import op_checks
