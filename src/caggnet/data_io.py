@@ -270,6 +270,14 @@ def load_dataset(directory) -> tuple[list[Sample], dict]:
         raise FileNotFoundError(f"no {MANIFEST_NAME} in {directory}")
     with open(manifest_path) as fh:
         manifest = json.load(fh)
+    if "ids" not in manifest:
+        raise ValueError(f"dataset {directory}: {MANIFEST_NAME} has no 'ids'")
+    known = set(manifest["ids"])
+    for part, ids in manifest.get("split", {}).items():
+        stray = [i for i in ids if i not in known]
+        if stray:
+            raise ValueError(f"dataset {directory}: split {part!r} names id "
+                             f"{stray[0]!r}, which is not in 'ids'")
     samples = []
     for sid in manifest["ids"]:
         img_dir = directory / "images"

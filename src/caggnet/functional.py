@@ -7,12 +7,16 @@ Training, eval and one-off calls all go through these functions; eval
 runs them on a ``Tape(grad=False)``, which checks operands but keeps
 nothing.
 
-The convolution forward accumulates contributions in a fixed (ci, ki, kj)
-order, vectorized over batch, output channel and space. That order is the
-same one `nn_ops.conv2d_reference` uses with scalar arithmetic, which is
-what makes the two bit-identical in double precision; do not replace the
-accumulation with a fused reduction (einsum/tensordot) without revisiting
-that guarantee. Backward rules have no such constraint and use BLAS.
+The convolution forward has two paths, picked from the input dtype. The
+float64 path accumulates contributions in a fixed (ci, ki, kj) order,
+vectorized over batch, output channel and space. That order is the same
+one `nn_ops.conv2d_reference` uses with scalar arithmetic, which is what
+makes the two bit-identical in double precision; gradient checking and
+the conv equivalence test rely on it, so only that path keeps the order.
+The float32 path, which single-precision models (the default) run, makes
+one BLAS matmul per kernel tap over all input channels; its sums round
+differently, within float32 tolerance of the reference. Backward rules
+have no ordering constraint and use BLAS for both dtypes.
 """
 
 from __future__ import annotations
@@ -114,16 +118,34 @@ def conv2d(x: Var, weight: Var, bias: Var) -> Var:
         raise ShapeError(f"conv2d channel mismatch: input c={c_in}, weight c_in={c_in2}")
     pad = (k - 1) // 2
     xp = np.pad(xv, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else xv
-    out = np.empty((n, c_out, h, wd), dtype=xv.dtype)
-    out[...] = bias.value.reshape(1, c_out, 1, 1)
-    # fixed (ci, ki, kj) accumulation order; see module docstring
-    for ci in range(c_in):
+    if xv.dtype == np.float64:
+        out = np.empty((n, c_out, h, wd), dtype=xv.dtype)
+        out[...] = bias.value.reshape(1, c_out, 1, 1)
+        # fixed (ci, ki, kj) accumulation order; see module docstring
+        for ci in range(c_in):
+            for ki in range(k):
+                for kj in range(k):
+                    out += (
+                        xp[:, ci:ci + 1, ki:ki + h, kj:kj + wd]
+                        * w[:, ci, ki, kj].reshape(1, c_out, 1, 1)
+                    )
+    else:
+        # padded-flat layout: output pixel (i, j) sits at flat offset
+        # i*wp + j, and tap (ki, kj) reads the input at that offset plus
+        # ki*wp + kj, so each tap is one GEMM over a contiguous slice;
+        # the wp - wd columns past each output row are cropped at the end
+        wp = wd + 2 * pad
+        flat = xp.reshape(n, c_in, -1)
+        span = (h - 1) * wp + wd
+        acc = np.empty((n, c_out, h * wp), dtype=xv.dtype)
+        acc[...] = bias.value.reshape(1, c_out, 1)
         for ki in range(k):
             for kj in range(k):
-                out += (
-                    xp[:, ci:ci + 1, ki:ki + h, kj:kj + wd]
-                    * w[:, ci, ki, kj].reshape(1, c_out, 1, 1)
-                )
+                off = ki * wp + kj
+                acc[:, :, :span] += np.matmul(w[:, :, ki, kj], flat[:, :, off:off + span])
+        out = acc.reshape(n, c_out, h, wp)
+        if pad:
+            out = np.ascontiguousarray(out[:, :, :, :wd])
     return x.tape.record("conv2d", (x, weight, bias), out, ctx=(xv, w))
 
 
@@ -135,15 +157,15 @@ def _conv2d_bwd(node: TapeNode, g: np.ndarray):
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
     gxp = np.zeros_like(xp)
     gw = np.empty_like(w)
+    gflat = g.reshape(n, c_out, h * wd)
     for ki in range(k):
         for kj in range(k):
             xv = xp[:, :, ki:ki + h, kj:kj + wd]
             # gw[o, i, ki, kj] = sum_{n,h,w} g[n,o,h,w] * xv[n,i,h,w]
             gw[:, :, ki, kj] = np.tensordot(g, xv, axes=([0, 2, 3], [0, 2, 3]))
             # scatter g back through the same spatial shift
-            gxp[:, :, ki:ki + h, kj:kj + wd] += np.einsum(
-                "nohw,oi->nihw", g, w[:, :, ki, kj], optimize=True
-            )
+            gxp[:, :, ki:ki + h, kj:kj + wd] += np.matmul(
+                w[:, :, ki, kj].T, gflat).reshape(n, c_in, h, wd)
     gx = gxp[:, :, pad:pad + h, pad:pad + wd] if pad else gxp
     gb = g.sum(axis=(0, 2, 3))
     return np.ascontiguousarray(gx), gw, gb

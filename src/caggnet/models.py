@@ -19,7 +19,7 @@ per level to the last column and fuses bottom-up into a probability map.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -447,13 +447,21 @@ def load_checkpoint(directory):
     if manifest.get("format") != CHECKPOINT_FORMAT:
         raise ConfigError(f"checkpoint {directory} has format "
                           f"{manifest.get('format')!r}; expected {CHECKPOINT_FORMAT}")
+    for key in ("arch", "config", "params"):
+        if key not in manifest:
+            raise ConfigError(f"checkpoint {directory} manifest has no {key!r}")
+    unknown = sorted(set(manifest["config"]) - {f.name for f in fields(ModelConfig)})
+    if unknown:
+        raise ConfigError(f"checkpoint {directory} config has unknown key(s) "
+                          f"{', '.join(map(repr, unknown))}")
     cfg = ModelConfig(**manifest["config"])
     if manifest["arch"] == "caggnet":
         model = build_caggnet(cfg)
     elif manifest["arch"] == "unet":
         model = build_unet(cfg)
     else:
-        raise ConfigError(f"unknown arch {manifest['arch']!r} in checkpoint")
+        raise ConfigError(f"checkpoint {directory} has unknown arch "
+                          f"{manifest['arch']!r}")
     values = {}
     for entry in manifest["params"]:
         if entry["name"] not in model.params:

@@ -24,6 +24,20 @@ def dataset(tmp_path):
     return out
 
 
+# dataset manifest corruptions: each makes train and eval exit 1 with a
+# message naming the dataset directory and the missing key or stray id
+DATASET_CORRUPTIONS = {
+    "no-ids": (lambda m: m.pop("ids"), "'ids'"),
+    "unknown-split-id": (lambda m: m["split"]["val"].append("ghost"), "ghost"),
+}
+
+
+def corrupt_manifest(path: Path, corruption) -> None:
+    manifest = json.loads(path.read_text())
+    corruption(manifest)
+    path.write_text(json.dumps(manifest))
+
+
 class TestConfig:
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -99,6 +113,16 @@ class TestTrain:
         assert main(["train", "--config", str(cfg), "--data", str(dataset),
                      "--out", str(tmp_path / "r")] + self.TRAIN_ARGS) == 1
         assert "clamp_eps" in capsys.readouterr().err
+        assert not (tmp_path / "r" / "train_log.csv").exists()
+
+    @pytest.mark.parametrize("case", sorted(DATASET_CORRUPTIONS))
+    def test_bad_dataset_manifest_exits_1(self, dataset, tmp_path, capsys, case):
+        corruption, named = DATASET_CORRUPTIONS[case]
+        corrupt_manifest(dataset / "manifest.json", corruption)
+        assert main(["train", "--data", str(dataset),
+                     "--out", str(tmp_path / "r")] + self.TRAIN_ARGS) == 1
+        err = capsys.readouterr().err
+        assert str(dataset) in err and named in err
         assert not (tmp_path / "r" / "train_log.csv").exists()
 
     def test_deterministic_reruns(self, dataset, tmp_path):
@@ -198,6 +222,38 @@ class TestEval:
         assert main(["eval", "--checkpoint", str(ckpt), "--data", str(dataset),
                      "--out", str(tmp_path / "e"), "--split", "val"]) == 1
         assert str(dataset) in capsys.readouterr().err
+        assert not (tmp_path / "e" / "metrics.csv").exists()
+
+    # checkpoint manifest corruptions: each must exit 1 naming the
+    # checkpoint directory and the key or value at fault
+    CHECKPOINT_CORRUPTIONS = {
+        "no-arch": (lambda m: m.pop("arch"), "'arch'"),
+        "no-config": (lambda m: m.pop("config"), "'config'"),
+        "no-params": (lambda m: m.pop("params"), "'params'"),
+        "unknown-config-key": (lambda m: m["config"].update(depth=3), "'depth'"),
+        "unknown-arch": (lambda m: m.update(arch="resnet"), "'resnet'"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CHECKPOINT_CORRUPTIONS))
+    def test_bad_checkpoint_manifest_exits_1(self, dataset, tmp_path, capsys, case):
+        corruption, named = self.CHECKPOINT_CORRUPTIONS[case]
+        ckpt = self.fresh_checkpoint(tmp_path)
+        corrupt_manifest(ckpt / "manifest.json", corruption)
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(dataset),
+                     "--out", str(tmp_path / "e")]) == 1
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and named in err
+        assert not (tmp_path / "e" / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("case", sorted(DATASET_CORRUPTIONS))
+    def test_bad_dataset_manifest_exits_1(self, dataset, tmp_path, capsys, case):
+        corruption, named = DATASET_CORRUPTIONS[case]
+        ckpt = self.fresh_checkpoint(tmp_path)
+        corrupt_manifest(dataset / "manifest.json", corruption)
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(dataset),
+                     "--out", str(tmp_path / "e"), "--split", "val"]) == 1
+        err = capsys.readouterr().err
+        assert str(dataset) in err and named in err
         assert not (tmp_path / "e" / "metrics.csv").exists()
 
     def test_missing_checkpoint_exits_1(self, dataset, tmp_path):

@@ -125,6 +125,38 @@ class TestConv2d:
         ref = conv2d(x64, p)
         assert np.max(np.abs(out.data - ref.data)) < 1e-5
 
+    def test_single_precision_gemm_within_tolerance_of_reference(self):
+        # the criterion-5 case generator, plus edge shapes: a 1-pixel-high
+        # or -wide image, a 1x1 image, and batches of more than one
+        rng = np.random.default_rng(5)
+        shapes = [(int(rng.integers(1, 3)), int(rng.integers(1, 5)),
+                   int(rng.integers(1, 5)), int(rng.integers(1, 9)),
+                   int(rng.integers(1, 9)), 3 if case % 2 == 0 else 1)
+                  for case in range(100)]
+        shapes += [(n, c_in, c_out, h, w, k)
+                   for n, c_in, c_out, h, w in [(3, 4, 2, 1, 1), (2, 3, 4, 1, 7),
+                                                (2, 2, 3, 8, 1), (1, 4, 4, 1, 1)]
+                   for k in (1, 3)]
+        for n, c_in, c_out, h, w, k in shapes:
+            x = rng.normal(size=(n, c_in, h, w)).astype(np.float32)
+            weight = rng.normal(size=(c_out, c_in, k, k)).astype(np.float32)
+            bias = rng.normal(size=c_out).astype(np.float32)
+            out = conv2d(Tensor4(x), Conv2dParams(weight=weight, bias=bias))
+            assert out.data.dtype == np.float32
+            ref = conv2d_reference(
+                Tensor4(x.astype(np.float64)),
+                Conv2dParams(weight=weight.astype(np.float64),
+                             bias=bias.astype(np.float64))).data
+            rel = np.max(np.abs(out.data - ref)) / np.max(np.abs(ref))
+            assert rel <= 1e-5, (n, c_in, c_out, h, w, k, rel)
+
+    def test_double_precision_keeps_ordered_path(self, rng):
+        # more than one input channel and a 3x3 kernel: the shape where a
+        # reduction in any other order would round differently
+        x = Tensor4(rng.normal(size=(2, 4, 6, 5)))
+        p = conv_params(rng.normal(size=(3, 4, 3, 3)), bias=rng.normal(size=3))
+        assert conv2d(x, p).data.tobytes() == conv2d_reference(x, p).data.tobytes()
+
 
 class TestMaxpool2:
     def test_single_window(self):
