@@ -273,7 +273,12 @@ def load_dataset(directory) -> tuple[list[Sample], dict]:
     if "ids" not in manifest:
         raise ValueError(f"dataset {directory}: {MANIFEST_NAME} has no 'ids'")
     known = set(manifest["ids"])
-    for part, ids in manifest.get("split", {}).items():
+    split = manifest.get("split", {"train": [], "val": []})
+    for part in ("train", "val"):
+        if part not in split:
+            raise ValueError(f"dataset {directory}: {MANIFEST_NAME} split has "
+                             f"no {part!r} list")
+    for part, ids in split.items():
         stray = [i for i in ids if i not in known]
         if stray:
             raise ValueError(f"dataset {directory}: split {part!r} names id "

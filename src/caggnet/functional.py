@@ -7,16 +7,16 @@ Training, eval and one-off calls all go through these functions; eval
 runs them on a ``Tape(grad=False)``, which checks operands but keeps
 nothing.
 
-The convolution forward has two paths, picked from the input dtype. The
-float64 path accumulates contributions in a fixed (ci, ki, kj) order,
-vectorized over batch, output channel and space. That order is the same
-one `nn_ops.conv2d_reference` uses with scalar arithmetic, which is what
-makes the two bit-identical in double precision; gradient checking and
-the conv equivalence test rely on it, so only that path keeps the order.
-The float32 path, which single-precision models (the default) run, makes
-one BLAS matmul per kernel tap over all input channels; its sums round
-differently, within float32 tolerance of the reference. Backward rules
-have no ordering constraint and use BLAS for both dtypes.
+The convolution has one data layout, `_padded_flat`, for both dtypes
+and both directions: each kernel tap over all output pixels is one
+contiguous slice of the padded input with its spatial axes flattened.
+Only the forward's inner loop depends on the dtype. The float64 loop
+multiplies and adds one input channel and tap at a time in the fixed
+(ci, ki, kj) order of `nn_ops.conv2d_reference`, so the two are
+bit-identical, which gradient checking and the conv equivalence test
+rely on. The float32 loop (the default precision) makes one BLAS matmul
+per tap over all input channels and rounds differently. The backward
+keeps no order: two BLAS matmuls per tap for both dtypes.
 """
 
 from __future__ import annotations
@@ -57,9 +57,7 @@ def sum_all(a: Var) -> Var:
 
 def _sum_all_bwd(node: TapeNode, g: np.ndarray):
     (shape,) = node.ctx
-    out = np.empty(shape, dtype=g.dtype)
-    out[...] = g.reshape(())
-    return (out,)
+    return (np.full(shape, g.reshape(()), dtype=g.dtype),)
 
 
 def concat_channels(parts: list[Var]) -> Var:
@@ -75,10 +73,7 @@ def concat_channels(parts: list[Var]) -> Var:
                 f"part {k} is {p.value.shape}"
             )
     widths = tuple(p.value.shape[1] for p in parts)
-    if len(parts) == 1:
-        out = parts[0].value.copy()
-    else:
-        out = np.concatenate([p.value for p in parts], axis=1)
+    out = np.concatenate([p.value for p in parts], axis=1)
     return parts[0].tape.record("concat_channels", parts, out, ctx=(widths,))
 
 
@@ -108,6 +103,20 @@ def _channel_scale_bwd(node: TapeNode, g: np.ndarray):
     return g * wv, (g * xv).sum(axis=(2, 3), keepdims=True)
 
 
+def _padded_flat(x: np.ndarray, k: int):
+    """Pad `x` for a k x k kernel and flatten its spatial axes; returns
+    ``(flat, wp, span, taps)``. Output pixel (i, j) sits at offset
+    i*wp + j, so tap (ki, kj) over all output pixels is the contiguous
+    slice ``flat[..., off:off + span]`` for each ``(ki, kj, off)`` in
+    `taps`; the wp - w columns past each output row are junk to crop."""
+    n, c, h, wd = x.shape
+    pad = (k - 1) // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    wp = wd + 2 * pad
+    taps = [(ki, kj, ki * wp + kj) for ki in range(k) for kj in range(k)]
+    return xp.reshape(n, c, -1), wp, (h - 1) * wp + wd, taps
+
+
 def conv2d(x: Var, weight: Var, bias: Var) -> Var:
     """Same-size cross-correlation with a (c_out, c_in, k, k) weight plus
     bias; k = 3 pads by 1, k = 1 by 0, stride 1."""
@@ -116,59 +125,40 @@ def conv2d(x: Var, weight: Var, bias: Var) -> Var:
     c_out, c_in2, k, _ = w.shape
     if c_in2 != c_in:
         raise ShapeError(f"conv2d channel mismatch: input c={c_in}, weight c_in={c_in2}")
-    pad = (k - 1) // 2
-    xp = np.pad(xv, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else xv
+    flat, wp, span, taps = _padded_flat(xv, k)
+    acc = np.empty((n, c_out, h * wp), dtype=xv.dtype)
+    acc[...] = bias.value.reshape(1, c_out, 1)
+    body = acc[:, :, :span]
     if xv.dtype == np.float64:
-        out = np.empty((n, c_out, h, wd), dtype=xv.dtype)
-        out[...] = bias.value.reshape(1, c_out, 1, 1)
         # fixed (ci, ki, kj) accumulation order; see module docstring
         for ci in range(c_in):
-            for ki in range(k):
-                for kj in range(k):
-                    out += (
-                        xp[:, ci:ci + 1, ki:ki + h, kj:kj + wd]
-                        * w[:, ci, ki, kj].reshape(1, c_out, 1, 1)
-                    )
+            for ki, kj, off in taps:
+                body += (flat[:, ci:ci + 1, off:off + span]
+                         * w[:, ci, ki, kj].reshape(1, c_out, 1))
     else:
-        # padded-flat layout: output pixel (i, j) sits at flat offset
-        # i*wp + j, and tap (ki, kj) reads the input at that offset plus
-        # ki*wp + kj, so each tap is one GEMM over a contiguous slice;
-        # the wp - wd columns past each output row are cropped at the end
-        wp = wd + 2 * pad
-        flat = xp.reshape(n, c_in, -1)
-        span = (h - 1) * wp + wd
-        acc = np.empty((n, c_out, h * wp), dtype=xv.dtype)
-        acc[...] = bias.value.reshape(1, c_out, 1)
-        for ki in range(k):
-            for kj in range(k):
-                off = ki * wp + kj
-                acc[:, :, :span] += np.matmul(w[:, :, ki, kj], flat[:, :, off:off + span])
-        out = acc.reshape(n, c_out, h, wp)
-        if pad:
-            out = np.ascontiguousarray(out[:, :, :, :wd])
+        for ki, kj, off in taps:
+            body += np.matmul(w[:, :, ki, kj], flat[:, :, off:off + span])
+    out = np.ascontiguousarray(acc.reshape(n, c_out, h, wp)[:, :, :, :wd])
     return x.tape.record("conv2d", (x, weight, bias), out, ctx=(xv, w))
 
 
 def _conv2d_bwd(node: TapeNode, g: np.ndarray):
     x, w = node.ctx
     n, c_in, h, wd = x.shape
-    c_out, _, k, _ = w.shape
-    pad = (k - 1) // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    gxp = np.zeros_like(xp)
+    flat, wp, span, taps = _padded_flat(x, w.shape[2])
+    # g on the output's padded-flat rows: its junk columns are zero, so
+    # they add nothing to gw and scatter nothing into gx
+    gq = np.pad(g, ((0, 0), (0, 0), (0, 0), (0, wp - wd)))
+    gq = gq.reshape(n, -1, h * wp)[:, :, :span]
+    gflat = np.zeros_like(flat)
     gw = np.empty_like(w)
-    gflat = g.reshape(n, c_out, h * wd)
-    for ki in range(k):
-        for kj in range(k):
-            xv = xp[:, :, ki:ki + h, kj:kj + wd]
-            # gw[o, i, ki, kj] = sum_{n,h,w} g[n,o,h,w] * xv[n,i,h,w]
-            gw[:, :, ki, kj] = np.tensordot(g, xv, axes=([0, 2, 3], [0, 2, 3]))
-            # scatter g back through the same spatial shift
-            gxp[:, :, ki:ki + h, kj:kj + wd] += np.matmul(
-                w[:, :, ki, kj].T, gflat).reshape(n, c_in, h, wd)
-    gx = gxp[:, :, pad:pad + h, pad:pad + wd] if pad else gxp
-    gb = g.sum(axis=(0, 2, 3))
-    return np.ascontiguousarray(gx), gw, gb
+    for ki, kj, off in taps:
+        gw[:, :, ki, kj] = np.matmul(
+            gq, flat[:, :, off:off + span].transpose(0, 2, 1)).sum(axis=0)
+        gflat[:, :, off:off + span] += np.matmul(w[:, :, ki, kj].T, gq)
+    pad = (wp - wd) // 2
+    gx = gflat.reshape(n, c_in, h + 2 * pad, wp)[:, :, pad:pad + h, pad:pad + wd]
+    return np.ascontiguousarray(gx), gw, g.sum(axis=(0, 2, 3))
 
 
 def maxpool2(x: Var) -> Var:
@@ -294,9 +284,7 @@ def global_avg_pool(x: Var) -> Var:
 def _global_avg_pool_bwd(node: TapeNode, g: np.ndarray):
     (in_shape,) = node.ctx
     n, c, h, w = in_shape
-    out = np.empty(in_shape, dtype=g.dtype)
-    out[...] = g / (h * w)
-    return (out,)
+    return (np.full(in_shape, g / (h * w), dtype=g.dtype),)
 
 
 register_backward("add", _add_bwd)

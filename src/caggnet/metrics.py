@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor_core import ShapeError, Tensor4, TensorError
+from .tensor_core import DTYPE_OF_TAG, ShapeError, Tensor4, TensorError
 
 
 @dataclass(frozen=True)
@@ -156,9 +156,7 @@ def evaluate_model(model, samples, threshold: float = 0.5,
         raise ValueError("cannot evaluate on an empty sample list")
     ids, counts, preds = [], [], []
     for s in samples:
-        x = Tensor4(s.image.data.astype(
-            {"single": np.float32, "double": np.float64}[model.cfg.dtype],
-            copy=True))
+        x = Tensor4(s.image.data.astype(DTYPE_OF_TAG[model.cfg.dtype], copy=True))
         probs = forward(model, x, training=False).probs
         mask = binarize(probs, threshold)
         gt = Tensor4(s.mask.data.astype(mask.data.dtype, copy=True))

@@ -464,14 +464,21 @@ def load_checkpoint(directory):
                           f"{manifest['arch']!r}")
     values = {}
     for entry in manifest["params"]:
+        for key in ("name", "file", "kind", "dtype", "shape"):
+            if key not in entry:
+                raise ConfigError(f"checkpoint {directory} has a parameter entry "
+                                  f"with no {key!r}")
         if entry["name"] not in model.params:
             raise ConfigError(f"checkpoint {directory} has unknown parameter "
                               f"{entry['name']!r}")
-        t = read_tensor(directory / entry["file"])
-        arr = t.data
+        arr = read_tensor(directory / entry["file"]).data
         if entry["kind"] == "vector":
-            arr = arr.reshape(arr.shape[0])
-        values[entry["name"]] = arr.astype(entry["dtype"])
+            arr = arr.reshape(-1)
+        if (entry["dtype"], entry["shape"]) != (str(arr.dtype), list(arr.shape)):
+            raise ConfigError(f"checkpoint {directory} parameter {entry['name']!r} is "
+                              f"{entry['dtype']!r} {entry['shape']} in the manifest but "
+                              f"{arr.dtype} {list(arr.shape)} in {entry['file']!r}")
+        values[entry["name"]] = arr
     missing = set(model.params.names()) - set(values)
     if missing:
         raise ConfigError(f"checkpoint missing parameters: {sorted(missing)}")

@@ -46,10 +46,6 @@ class Conv2dParams:
     def c_in(self) -> int:
         return self.weight.shape[1]
 
-    @property
-    def k(self) -> int:
-        return self.weight.shape[2]
-
 
 @dataclass
 class BatchNormState:

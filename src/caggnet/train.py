@@ -26,7 +26,7 @@ import numpy as np
 from .autograd import TapeNode, Var, backward, register_backward
 from .metrics import evaluate_model
 from .models import ParamStore, forward, save_checkpoint
-from .tensor_core import ShapeError, Tensor4, TensorError
+from .tensor_core import DTYPE_OF_TAG, ShapeError, Tensor4, TensorError
 
 
 class TrainingDiverged(RuntimeError):
@@ -233,7 +233,7 @@ def train_loop(model, train_samples, val_samples, loss_fn,
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     rng = np.random.default_rng(seed)
-    dtype = model.params[next(iter(model.params.names()))].value.dtype
+    dtype = DTYPE_OF_TAG[model.cfg.dtype]
     log = TrainingLog()
     best_values = model.params.snapshot()
 

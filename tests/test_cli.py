@@ -29,6 +29,8 @@ def dataset(tmp_path):
 DATASET_CORRUPTIONS = {
     "no-ids": (lambda m: m.pop("ids"), "'ids'"),
     "unknown-split-id": (lambda m: m["split"]["val"].append("ghost"), "ghost"),
+    "no-train-split": (lambda m: m["split"].pop("train"), "'train'"),
+    "no-val-split": (lambda m: m["split"].pop("val"), "'val'"),
 }
 
 
@@ -232,6 +234,14 @@ class TestEval:
         "no-params": (lambda m: m.pop("params"), "'params'"),
         "unknown-config-key": (lambda m: m["config"].update(depth=3), "'depth'"),
         "unknown-arch": (lambda m: m.update(arch="resnet"), "'resnet'"),
+        **{f"param-no-{key}": (lambda m, key=key: m["params"][0].pop(key), repr(key))
+           for key in ("name", "file", "kind", "dtype", "shape")},
+        "param-bad-dtype": (lambda m: m["params"][0].update(dtype="float99"),
+                            "'float99'"),
+        "param-dtype-mismatch": (lambda m: m["params"][0].update(dtype="float64"),
+                                 "'p0000.t4'"),
+        "param-shape-mismatch": (lambda m: m["params"][0].update(shape=[99]),
+                                 "'p0000.t4'"),
     }
 
     @pytest.mark.parametrize("case", sorted(CHECKPOINT_CORRUPTIONS))

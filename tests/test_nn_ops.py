@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from caggnet import functional as F
-from caggnet.autograd import Tape
+from caggnet.autograd import Tape, TapeNode
 from caggnet.nn_ops import BatchNormState, Conv2dParams, conv2d_reference
 from caggnet.tensor_core import ShapeError, Tensor4
 
@@ -69,6 +69,20 @@ def window_max_oracle(x):
     return out
 
 
+def conv_test_shapes(rng):
+    """(n, c_in, c_out, h, w, k) of the criterion-5 case generator, plus
+    edge shapes: a 1-pixel-high or -wide image, a 1x1 image, and batches
+    of more than one."""
+    shapes = [(int(rng.integers(1, 3)), int(rng.integers(1, 5)),
+               int(rng.integers(1, 5)), int(rng.integers(1, 9)),
+               int(rng.integers(1, 9)), 3 if case % 2 == 0 else 1)
+              for case in range(100)]
+    return shapes + [(n, c_in, c_out, h, w, k)
+                     for n, c_in, c_out, h, w in [(3, 4, 2, 1, 1), (2, 3, 4, 1, 7),
+                                                  (2, 2, 3, 8, 1), (1, 4, 4, 1, 1)]
+                     for k in (1, 3)]
+
+
 class TestConv2d:
     def test_ones_kernel_on_ones(self):
         x = t4(np.ones((1, 1, 3, 3)))
@@ -126,18 +140,8 @@ class TestConv2d:
         assert np.max(np.abs(out.data - ref.data)) < 1e-5
 
     def test_single_precision_gemm_within_tolerance_of_reference(self):
-        # the criterion-5 case generator, plus edge shapes: a 1-pixel-high
-        # or -wide image, a 1x1 image, and batches of more than one
         rng = np.random.default_rng(5)
-        shapes = [(int(rng.integers(1, 3)), int(rng.integers(1, 5)),
-                   int(rng.integers(1, 5)), int(rng.integers(1, 9)),
-                   int(rng.integers(1, 9)), 3 if case % 2 == 0 else 1)
-                  for case in range(100)]
-        shapes += [(n, c_in, c_out, h, w, k)
-                   for n, c_in, c_out, h, w in [(3, 4, 2, 1, 1), (2, 3, 4, 1, 7),
-                                                (2, 2, 3, 8, 1), (1, 4, 4, 1, 1)]
-                   for k in (1, 3)]
-        for n, c_in, c_out, h, w, k in shapes:
+        for n, c_in, c_out, h, w, k in conv_test_shapes(rng):
             x = rng.normal(size=(n, c_in, h, w)).astype(np.float32)
             weight = rng.normal(size=(c_out, c_in, k, k)).astype(np.float32)
             bias = rng.normal(size=c_out).astype(np.float32)
@@ -149,6 +153,23 @@ class TestConv2d:
                              bias=bias.astype(np.float64))).data
             rel = np.max(np.abs(out.data - ref)) / np.max(np.abs(ref))
             assert rel <= 1e-5, (n, c_in, c_out, h, w, k, rel)
+
+    def test_single_precision_backward_within_tolerance_of_double(self):
+        # the float32 rule against the float64 rule on the same values
+        rng = np.random.default_rng(5)
+        for n, c_in, c_out, h, w, k in conv_test_shapes(rng):
+            x = rng.normal(size=(n, c_in, h, w)).astype(np.float32)
+            weight = rng.normal(size=(c_out, c_in, k, k)).astype(np.float32)
+            g = rng.normal(size=(n, c_out, h, w)).astype(np.float32)
+            got = F._conv2d_bwd(TapeNode("conv2d", (0, 1, 2), 3, (x, weight)), g)
+            ref = F._conv2d_bwd(
+                TapeNode("conv2d", (0, 1, 2), 3,
+                         (x.astype(np.float64), weight.astype(np.float64))),
+                g.astype(np.float64))
+            for name, a, b in zip(("gx", "gw", "gb"), got, ref):
+                assert a.dtype == np.float32 and a.shape == b.shape, name
+                rel = np.max(np.abs(a - b)) / np.max(np.abs(b))
+                assert rel <= 1e-5, (name, n, c_in, c_out, h, w, k, rel)
 
     def test_double_precision_keeps_ordered_path(self, rng):
         # more than one input channel and a 3x3 kernel: the shape where a
