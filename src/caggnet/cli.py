@@ -129,11 +129,18 @@ def _flag_overrides(args) -> dict:
 
 def _resolve_threads(cfg: dict) -> int:
     threads = cfg.get("threads")
+    source = "threads / --threads"
     if threads is None:
-        threads = int(os.environ.get(THREADS_ENV, "1"))
-    threads = int(threads)
+        source = f"${THREADS_ENV}"
+        raw = os.environ.get(THREADS_ENV, "1")
+        try:
+            threads = int(raw)
+        except ValueError:
+            raise CliError(f"{source} must be an integer, got {raw!r}")
+    if not isinstance(threads, int) or isinstance(threads, bool):
+        raise CliError(f"{source} must be an integer, got {threads!r}")
     if threads < 1:
-        raise CliError(f"threads must be >= 1, got {threads}")
+        raise CliError(f"{source} must be >= 1, got {threads}")
     return threads
 
 

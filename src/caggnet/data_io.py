@@ -222,6 +222,14 @@ def gen_synthetic(cfg: SynthConfig) -> list[Sample]:
     return samples
 
 
+def batch_arrays(samples, idxs, dtype) -> tuple[Tensor4, np.ndarray]:
+    """Stack the samples at `idxs`, in order, into one image batch and
+    one mask array, both cast to `dtype`; the images must share a shape."""
+    images = np.concatenate([samples[i].image.data for i in idxs], axis=0)
+    masks = np.concatenate([samples[i].mask.data for i in idxs], axis=0)
+    return Tensor4(images.astype(dtype, copy=True)), masks.astype(dtype)
+
+
 def split(samples: list[Sample], train_fraction: float,
           seed: int = 0) -> tuple[list[Sample], list[Sample]]:
     """Seeded shuffle into disjoint covering (train, val) lists."""

@@ -10,13 +10,16 @@ nothing.
 The convolution has one data layout, `_padded_flat`, for both dtypes
 and both directions: each kernel tap over all output pixels is one
 contiguous slice of the padded input with its spatial axes flattened.
-Only the forward's inner loop depends on the dtype. The float64 loop
+Only the forward's inner loop depends on the dtype. The ordered loop
 multiplies and adds one input channel and tap at a time in the fixed
-(ci, ki, kj) order of `nn_ops.conv2d_reference`, so the two are
-bit-identical, which gradient checking and the conv equivalence test
-rely on. The float32 loop (the default precision) makes one BLAS matmul
-per tap over all input channels and rounds differently. The backward
-keeps no order: two BLAS matmuls per tap for both dtypes.
+(ci, ki, kj) order of `nn_ops.conv2d_reference`; float64 takes it, so
+the two are bit-identical, which gradient checking and the conv
+equivalence test rely on. The float32 loop (the default precision) makes
+one BLAS matmul per tap over all input channels and rounds differently,
+except with one input channel: there a matmul would make one product per
+term in the same tap order, so the ordered loop gives the same bits
+without the per-call BLAS overhead. The backward keeps no order: two
+BLAS matmuls per tap for both dtypes.
 """
 
 from __future__ import annotations
@@ -129,7 +132,7 @@ def conv2d(x: Var, weight: Var, bias: Var) -> Var:
     acc = np.empty((n, c_out, h * wp), dtype=xv.dtype)
     acc[...] = bias.value.reshape(1, c_out, 1)
     body = acc[:, :, :span]
-    if xv.dtype == np.float64:
+    if xv.dtype == np.float64 or c_in == 1:
         # fixed (ci, ki, kj) accumulation order; see module docstring
         for ci in range(c_in):
             for ki, kj, off in taps:
@@ -161,44 +164,52 @@ def _conv2d_bwd(node: TapeNode, g: np.ndarray):
     return np.ascontiguousarray(gx), gw, g.sum(axis=(0, 2, 3))
 
 
+def _quads(a: np.ndarray):
+    """The four stride-2 views of `a`'s spatial axes in 2x2 window scan
+    order (row-major): view q holds offset (q // 2, q % 2) of every
+    window."""
+    return (a[:, :, 0::2, 0::2], a[:, :, 0::2, 1::2],
+            a[:, :, 1::2, 0::2], a[:, :, 1::2, 1::2])
+
+
 def maxpool2(x: Var) -> Var:
-    """2x2 max pooling with stride 2."""
+    """2x2 max pooling with stride 2: the elementwise maximum of the four
+    `_quads` views. The backward routes each window's gradient to its
+    first maximum in scan order, rebuilt from the input and the output,
+    which are on the tape anyway."""
     xv = x.value
-    n, c, h, w = xv.shape
+    h, w = xv.shape[2:]
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2 needs even spatial extents, got {h}x{w}")
-    win = (
-        xv.reshape(n, c, h // 2, 2, w // 2, 2)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(n, c, h // 2, w // 2, 4)
-    )
-    # argmax picks the first maximum in window scan order (row-major 2x2)
-    idx = win.argmax(axis=-1)
-    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
-    return x.tape.record("maxpool2", (x,), np.ascontiguousarray(out),
-                         ctx=(idx, xv.shape))
+    a, b, c, d = _quads(xv)
+    out = np.maximum(np.maximum(a, b), np.maximum(c, d))
+    return x.tape.record("maxpool2", (x,), out, ctx=(xv, out))
 
 
 def _maxpool2_bwd(node: TapeNode, g: np.ndarray):
-    idx, (n, c, h, w) = node.ctx
-    buf = np.zeros((n, c, h // 2, w // 2, 4), dtype=g.dtype)
-    np.put_along_axis(buf, idx[..., None], g[..., None], axis=-1)
-    return (np.ascontiguousarray(
-        buf.reshape(n, c, h // 2, w // 2, 2, 2)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(n, c, h, w)
-    ),)
+    xv, out = node.ctx
+    gx = np.zeros(xv.shape, dtype=g.dtype)
+    free = np.ones(out.shape, dtype=bool)  # windows whose maximum is unclaimed
+    for xq, gq in zip(_quads(xv), _quads(gx)):
+        hit = free & (xq == out)
+        np.copyto(gq, g, where=hit)
+        free &= ~hit
+    return (gx,)
 
 
 def upsample_nearest2(x: Var) -> Var:
-    """Replicate every pixel into a 2x2 block (nearest-neighbor 2x)."""
-    out = np.repeat(np.repeat(x.value, 2, axis=2), 2, axis=3)
+    """Replicate every pixel into a 2x2 block (nearest-neighbor 2x),
+    written through the four `_quads` views of the output."""
+    n, c, h, w = x.value.shape
+    out = np.empty((n, c, 2 * h, 2 * w), dtype=x.value.dtype)
+    for q in _quads(out):
+        q[...] = x.value
     return x.tape.record("upsample_nearest2", (x,), out)
 
 
 def _upsample_nearest2_bwd(node: TapeNode, g: np.ndarray):
-    n, c, h2, w2 = g.shape
-    return (g.reshape(n, c, h2 // 2, 2, w2 // 2, 2).sum(axis=(3, 5)),)
+    a, b, c, d = _quads(g)
+    return ((a + b) + (c + d),)
 
 
 def batchnorm2d(x: Var, gamma: Var, beta: Var, state: BatchNormState,

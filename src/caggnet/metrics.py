@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data_io import batch_arrays
 from .tensor_core import DTYPE_OF_TAG, ShapeError, Tensor4, TensorError
 
 
@@ -143,26 +144,44 @@ def summarize(ids: list[str], counts: list[ConfusionCounts],
     return report
 
 
+# most pixels (n * h * w) fed to one eval forward
+EVAL_PIXEL_BUDGET = 8192
+
+
 def evaluate_model(model, samples, threshold: float = 0.5,
                    keep_predictions: bool = False):
     """Per-image metrics for a model over a sample list.
 
+    Consecutive samples of the same image shape go through the model
+    together, in chunks of as many images as fit `EVAL_PIXEL_BUDGET`
+    pixels and at least one; eval mode treats every image in a batch
+    alone, so the probabilities are those of one image at a time.
     Returns the MetricsReport, or (report, predictions) when
-    keep_predictions is set (predictions are the raw probability maps).
+    keep_predictions is set (predictions are the raw (1, 1, h, w)
+    probability maps, in sample order).
     """
     from .models import forward
 
     if len(samples) == 0:
         raise ValueError("cannot evaluate on an empty sample list")
+    dtype = DTYPE_OF_TAG[model.cfg.dtype]
     ids, counts, preds = [], [], []
-    for s in samples:
-        x = Tensor4(s.image.data.astype(DTYPE_OF_TAG[model.cfg.dtype], copy=True))
-        probs = forward(model, x, training=False).probs
-        mask = binarize(probs, threshold)
-        gt = Tensor4(s.mask.data.astype(mask.data.dtype, copy=True))
-        counts.append(confusion(mask, gt))
-        ids.append(s.id)
-        if keep_predictions:
-            preds.append(probs)
+    start = 0
+    while start < len(samples):
+        shape = samples[start].image.data.shape
+        limit = start + max(1, EVAL_PIXEL_BUDGET // (shape[2] * shape[3]))
+        stop = start + 1
+        while (stop < min(limit, len(samples))
+               and samples[stop].image.data.shape == shape):
+            stop += 1
+        x, gt = batch_arrays(samples, range(start, stop), dtype)
+        probs = forward(model, x, training=False).probs.data
+        for i, s in enumerate(samples[start:stop]):
+            p = Tensor4(probs[i:i + 1])
+            counts.append(confusion(binarize(p, threshold), Tensor4(gt[i:i + 1])))
+            ids.append(s.id)
+            if keep_predictions:
+                preds.append(p)
+        start = stop
     report = summarize(ids, counts, threshold)
     return (report, preds) if keep_predictions else report

@@ -24,9 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autograd import TapeNode, Var, backward, register_backward
+from .data_io import batch_arrays
 from .metrics import evaluate_model
 from .models import ParamStore, forward, save_checkpoint
-from .tensor_core import DTYPE_OF_TAG, ShapeError, Tensor4, TensorError
+from .tensor_core import DTYPE_OF_TAG, ShapeError, TensorError
 
 
 class TrainingDiverged(RuntimeError):
@@ -197,12 +198,6 @@ class TrainingLog:
                 fh.write(f"{r.epoch},{s:.3f}\n")
 
 
-def _batch_arrays(samples, idxs, dtype) -> tuple[Tensor4, np.ndarray]:
-    images = np.concatenate([samples[i].image.data for i in idxs], axis=0)
-    masks = np.concatenate([samples[i].mask.data for i in idxs], axis=0)
-    return Tensor4(images.astype(dtype, copy=True)), masks.astype(dtype)
-
-
 def make_loss(kind: str, *, alpha: float = 0.25, gamma: float = 2.0,
               clamp_eps: float = 1e-7):
     """Traced loss closure loss(pred_var, target_array) -> scalar Var."""
@@ -243,7 +238,7 @@ def train_loop(model, train_samples, val_samples, loss_fn,
         losses = []
         for start in range(0, len(order), batch_size):
             idxs = order[start:start + batch_size]
-            x, y = _batch_arrays(train_samples, idxs, dtype)
+            x, y = batch_arrays(train_samples, idxs, dtype)
             try:
                 fp = forward(model, x, training=True)
                 loss_var = loss_fn(fp.probs_var, y)

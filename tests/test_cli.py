@@ -335,3 +335,28 @@ class TestThreads:
         early, code, loaded, *values = done.stdout.splitlines()[-1].split()
         assert (early, code, loaded) == ("False", "0", "True")
         assert values == [expect] * len(self.BLAS_VARS)
+
+    @pytest.mark.parametrize("config,env,named", [
+        (2.7, None, "threads / --threads"),
+        (True, None, "threads / --threads"),
+        ("2", None, "threads / --threads"),
+        (0, None, "threads / --threads"),
+        (None, "abc", "$CAGGNET_THREADS"),
+        (None, "2.7", "$CAGGNET_THREADS"),
+        (None, "0", "$CAGGNET_THREADS"),
+    ])
+    def test_bad_thread_count_exits_1_naming_its_source(self, tmp_path, capsys,
+                                                         monkeypatch, config, env,
+                                                         named):
+        args = ["synth", "--out", str(tmp_path / "d"), "--count", "1",
+                "--size", "16"]
+        if config is not None:
+            (tmp_path / "c.json").write_text(json.dumps({"threads": config}))
+            args += ["--config", str(tmp_path / "c.json")]
+        monkeypatch.delenv("CAGGNET_THREADS", raising=False)
+        if env is not None:
+            monkeypatch.setenv("CAGGNET_THREADS", env)
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not (tmp_path / "d").exists()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from caggnet import functional as F
-from caggnet.autograd import Tape, TapeNode
+from caggnet.autograd import Tape, TapeNode, backward
 from caggnet.nn_ops import BatchNormState, Conv2dParams, conv2d_reference
 from caggnet.tensor_core import ShapeError, Tensor4
 
@@ -202,6 +202,28 @@ class TestMaxpool2:
     def test_odd_extent_rejected(self, rng):
         with pytest.raises(ShapeError, match="even"):
             maxpool2(Tensor4(rng.normal(size=(1, 1, 3, 4))))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradient_goes_to_first_maximum_in_scan_order(self, dtype):
+        # every 2x2 window with entries in {0, 1, 2}: all 2-, 3- and 4-way
+        # ties of the maximum, in every window position
+        windows = np.array(np.meshgrid(*[np.arange(3)] * 4, indexing="ij"))
+        windows = windows.reshape(4, -1).T  # (81, 4), row-major scan order
+        n = windows.shape[0]
+        x = (windows.reshape(n, 2, 2).transpose(1, 0, 2)
+             .reshape(1, 1, 2, 2 * n).astype(dtype))
+        g = np.arange(1, n + 1, dtype=dtype).reshape(1, 1, 1, n)
+        t = Tape(grad=True)
+        xv = t.leaf(x)
+        out = F.maxpool2(xv)
+        gx = backward(t, F.sum_all(F.mul(out, t.leaf(g))))[xv.id]
+        routed = gx.reshape(2, n, 2).transpose(1, 0, 2).reshape(n, 4)
+        first = windows.argmax(axis=1)
+        expect = np.zeros((n, 4), dtype=dtype)
+        expect[np.arange(n), first] = g.reshape(n)
+        assert np.array_equal(out.value.reshape(n), windows.max(axis=1))
+        assert gx.dtype == dtype
+        assert np.array_equal(routed, expect)
 
 
 class TestUpsampleNearest2:
