@@ -333,8 +333,17 @@ def cmd_synth(args, cfg: dict) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, like every other bad input, not argparse's 2,
+    which this CLI keeps for divergence. Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="caggnet",
         description="Desk-scale crossing-aggregation segmentation engine",
     )

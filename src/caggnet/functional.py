@@ -7,19 +7,23 @@ Training, eval and one-off calls all go through these functions; eval
 runs them on a ``Tape(grad=False)``, which checks operands but keeps
 nothing.
 
-The convolution has one data layout, `_padded_flat`, for both dtypes
-and both directions: each kernel tap over all output pixels is one
-contiguous slice of the padded input with its spatial axes flattened.
-Only the forward's inner loop depends on the dtype. The ordered loop
-multiplies and adds one input channel and tap at a time in the fixed
-(ci, ki, kj) order of `nn_ops.conv2d_reference`; float64 takes it, so
-the two are bit-identical, which gradient checking and the conv
-equivalence test rely on. The float32 loop (the default precision) makes
-one BLAS matmul per tap over all input channels and rounds differently,
-except with one input channel: there a matmul would make one product per
-term in the same tap order, so the ordered loop gives the same bits
-without the per-call BLAS overhead. The backward keeps no order: two
-BLAS matmuls per tap for both dtypes.
+The convolution has one data layout, `_padded_flat`, for both dtypes and
+both directions. It spans the whole batch: channel-major, every image
+padded, the images one after another on one flat axis, so each kernel
+tap over every output pixel of every image is one contiguous slice, and
+`_crop` turns it back into NCHW. Only the forward's inner loop depends
+on the dtype. The ordered loop multiplies and adds one input channel and
+tap at a time in the fixed (ci, ki, kj) order of
+`nn_ops.conv2d_reference`; float64 takes it, so the two are
+bit-identical, which gradient checking and the conv equivalence test
+rely on. The float32 loop (the default precision) makes one BLAS matmul
+per tap over all input channels and rounds differently, except with one
+input channel: there a matmul would make one product per term in the
+same tap order, so the ordered loop gives the same bits without the
+per-call BLAS overhead. Each matmul covers the whole batch, and it
+computes every image's columns as a one-image call would, so a batch
+gives each image the bits it gets alone. The backward keeps no order:
+two BLAS matmuls per tap for both dtypes, each over the batch.
 """
 
 from __future__ import annotations
@@ -107,17 +111,32 @@ def _channel_scale_bwd(node: TapeNode, g: np.ndarray):
 
 
 def _padded_flat(x: np.ndarray, k: int):
-    """Pad `x` for a k x k kernel and flatten its spatial axes; returns
-    ``(flat, wp, span, taps)``. Output pixel (i, j) sits at offset
-    i*wp + j, so tap (ki, kj) over all output pixels is the contiguous
-    slice ``flat[..., off:off + span]`` for each ``(ki, kj, off)`` in
-    `taps`; the wp - w columns past each output row are junk to crop."""
+    """Lay the whole batch out channel-major for a k x k kernel: every
+    image zero-padded on all four sides to hp x wp, the images one after
+    another along one flat axis. Returns ``(flat, hp, wp, span, taps)``
+    with `flat` of shape (c, n*hp*wp). Output pixel (s, i, j) sits at
+    offset (s*hp + i)*wp + j, so tap (ki, kj) over every output pixel of
+    every image is the contiguous slice ``flat[:, off:off + span]`` for
+    each ``(ki, kj, off)`` in `taps`; the columns and rows between the
+    images' output windows are junk to crop (`_crop`)."""
     n, c, h, wd = x.shape
     pad = (k - 1) // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    wp = wd + 2 * pad
+    hp, wp = h + 2 * pad, wd + 2 * pad
+    if pad:
+        xp = np.zeros((c, n, hp, wp), dtype=x.dtype)
+        xp[:, :, pad:pad + h, pad:pad + wd] = x.transpose(1, 0, 2, 3)
+    else:
+        xp = np.ascontiguousarray(x.transpose(1, 0, 2, 3))  # a view if n = 1
     taps = [(ki, kj, ki * wp + kj) for ki in range(k) for kj in range(k)]
-    return xp.reshape(n, c, -1), wp, (h - 1) * wp + wd, taps
+    return xp.reshape(c, -1), hp, wp, ((n - 1) * hp + h - 1) * wp + wd, taps
+
+
+def _crop(flat: np.ndarray, shape, hp: int, wp: int, at: int = 0) -> np.ndarray:
+    """The NCHW `shape` copy of the window at row and column `at` of each
+    image in a channel-major `_padded_flat` array."""
+    n, c, h, wd = shape
+    a = flat.reshape(c, n, hp, wp)[:, :, at:at + h, at:at + wd]
+    return np.ascontiguousarray(a.transpose(1, 0, 2, 3))
 
 
 def conv2d(x: Var, weight: Var, bias: Var) -> Var:
@@ -128,40 +147,39 @@ def conv2d(x: Var, weight: Var, bias: Var) -> Var:
     c_out, c_in2, k, _ = w.shape
     if c_in2 != c_in:
         raise ShapeError(f"conv2d channel mismatch: input c={c_in}, weight c_in={c_in2}")
-    flat, wp, span, taps = _padded_flat(xv, k)
-    acc = np.empty((n, c_out, h * wp), dtype=xv.dtype)
-    acc[...] = bias.value.reshape(1, c_out, 1)
-    body = acc[:, :, :span]
+    flat, hp, wp, span, taps = _padded_flat(xv, k)
+    acc = np.empty((c_out, n * hp * wp), dtype=xv.dtype)
+    body = acc[:, :span]
+    body[...] = bias.value.reshape(c_out, 1)
     if xv.dtype == np.float64 or c_in == 1:
         # fixed (ci, ki, kj) accumulation order; see module docstring
         for ci in range(c_in):
             for ki, kj, off in taps:
-                body += (flat[:, ci:ci + 1, off:off + span]
-                         * w[:, ci, ki, kj].reshape(1, c_out, 1))
+                body += flat[ci:ci + 1, off:off + span] * w[:, ci, ki, kj].reshape(c_out, 1)
     else:
         for ki, kj, off in taps:
-            body += np.matmul(w[:, :, ki, kj], flat[:, :, off:off + span])
-    out = np.ascontiguousarray(acc.reshape(n, c_out, h, wp)[:, :, :, :wd])
+            body += w[:, :, ki, kj] @ flat[:, off:off + span]
+    out = _crop(acc, (n, c_out, h, wd), hp, wp)
     return x.tape.record("conv2d", (x, weight, bias), out, ctx=(xv, w))
 
 
 def _conv2d_bwd(node: TapeNode, g: np.ndarray):
     x, w = node.ctx
-    n, c_in, h, wd = x.shape
-    flat, wp, span, taps = _padded_flat(x, w.shape[2])
-    # g on the output's padded-flat rows: its junk columns are zero, so
-    # they add nothing to gw and scatter nothing into gx
-    gq = np.pad(g, ((0, 0), (0, 0), (0, 0), (0, wp - wd)))
-    gq = gq.reshape(n, -1, h * wp)[:, :, :span]
+    k = w.shape[2]
+    flat, hp, wp, span, taps = _padded_flat(x, k)
+    # g in the same layout, read from its first output pixel: the padding
+    # puts zeros on the junk columns, so they add nothing to gw and
+    # scatter nothing into gx
+    pad = (k - 1) // 2
+    start = pad * wp + pad
+    gq = _padded_flat(g, k)[0][:, start:start + span]
     gflat = np.zeros_like(flat)
     gw = np.empty_like(w)
     for ki, kj, off in taps:
-        gw[:, :, ki, kj] = np.matmul(
-            gq, flat[:, :, off:off + span].transpose(0, 2, 1)).sum(axis=0)
-        gflat[:, :, off:off + span] += np.matmul(w[:, :, ki, kj].T, gq)
-    pad = (wp - wd) // 2
-    gx = gflat.reshape(n, c_in, h + 2 * pad, wp)[:, :, pad:pad + h, pad:pad + wd]
-    return np.ascontiguousarray(gx), gw, g.sum(axis=(0, 2, 3))
+        # (c_in, c_out) rather than gq @ flat.T: faster under OpenBLAS
+        gw[:, :, ki, kj] = np.matmul(flat[:, off:off + span], gq.T).T
+        gflat[:, off:off + span] += w[:, :, ki, kj].T @ gq
+    return _crop(gflat, x.shape, hp, wp, pad), gw, g.sum(axis=(0, 2, 3))
 
 
 def _quads(a: np.ndarray):
@@ -223,18 +241,21 @@ def batchnorm2d(x: Var, gamma: Var, beta: Var, state: BatchNormState,
             f"batchnorm channel mismatch: input c={xv.shape[1]}, gamma c={gv.shape[0]}"
         )
     if training:
-        mean = xv.mean(axis=(0, 2, 3))
-        var = xv.var(axis=(0, 2, 3))
+        # the variance reuses the centred input; numpy's `var` computes
+        # the same sum of squared deviations, so the bits are its bits
+        mean = xv.mean(axis=(0, 2, 3), keepdims=True)
+        xc = xv - mean
+        var = np.square(xc).mean(axis=(0, 2, 3))
         m = state.momentum
         state.running_mean *= 1.0 - m
-        state.running_mean += (m * mean).astype(state.running_mean.dtype)
+        state.running_mean += (m * mean.reshape(-1)).astype(state.running_mean.dtype)
         state.running_var *= 1.0 - m
         state.running_var += (m * var).astype(state.running_var.dtype)
     else:
-        mean = state.running_mean.astype(xv.dtype)
+        xc = xv - state.running_mean.astype(xv.dtype).reshape(1, -1, 1, 1)
         var = state.running_var.astype(xv.dtype)
     inv = 1.0 / np.sqrt(var + state.eps)
-    xhat = (xv - mean.reshape(1, -1, 1, 1)) * inv.reshape(1, -1, 1, 1)
+    xhat = xc * inv.reshape(1, -1, 1, 1)
     out = gv.reshape(1, -1, 1, 1) * xhat + beta.value.reshape(1, -1, 1, 1)
     return x.tape.record("batchnorm2d", (x, gamma, beta), out,
                          ctx=(xhat, inv, gv, training))

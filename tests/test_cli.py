@@ -65,6 +65,34 @@ class TestConfig:
             load_config("nope.json", {})
 
 
+class TestUsageErrors:
+    # argparse's own exit code 2 is the CLI's code for divergence, so a
+    # usage error must exit 1 with argparse's message naming the problem
+    @pytest.mark.parametrize("argv,named", [
+        (["synth", "--out", "d", "--threads", "2.7"], "--threads"),
+        (["train", "--epochs", "x"], "--epochs"),
+        (["train", "--no-such-flag"], "--no-such-flag"),
+        (["train", "--arch", "resnet"], "--arch"),
+        ([], "command"),
+    ])
+    def test_usage_error_exits_1_naming_it(self, tmp_path, capsys, monkeypatch,
+                                           argv, named):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and named in err and "Traceback" not in err
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["train", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
+
 class TestSynth:
     def test_writes_dataset_and_manifest(self, dataset):
         manifest = json.loads((dataset / "manifest.json").read_text())

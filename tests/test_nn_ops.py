@@ -295,6 +295,35 @@ class TestBatchNorm:
         assert np.array_equal(before[0], s.running_mean)
         assert np.array_equal(before[1], s.running_var)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_training_forward_matches_two_pass_formula_bytewise(self, rng, dtype):
+        # the forward's statistics against np.mean + np.var on the input
+        for shape in [(4, 8, 32, 32), (2, 3, 5, 7), (1, 1, 2, 2)]:
+            x = rng.normal(1.5, 2.0, size=shape).astype(dtype)
+            c = shape[1]
+            gamma = rng.normal(size=c).astype(dtype)
+            beta = rng.normal(size=c).astype(dtype)
+            s = BatchNormState(gamma=gamma, beta=beta,
+                               running_mean=rng.normal(size=c).astype(dtype),
+                               running_var=rng.uniform(0.5, 2.0, size=c).astype(dtype))
+            rm, rv = s.running_mean.copy(), s.running_var.copy()
+            t = Tape()
+            out = F.batchnorm2d(t.leaf(x), t.leaf(gamma), t.leaf(beta), s, True).value
+            xhat = t.nodes[-1].ctx[0]
+
+            mean = x.mean(axis=(0, 2, 3))
+            var = x.var(axis=(0, 2, 3))
+            inv = 1.0 / np.sqrt(var + s.eps)
+            ref_xhat = (x - mean.reshape(1, -1, 1, 1)) * inv.reshape(1, -1, 1, 1)
+            ref_out = gamma.reshape(1, -1, 1, 1) * ref_xhat + beta.reshape(1, -1, 1, 1)
+            ref_rm = rm * (1.0 - s.momentum) + (s.momentum * mean).astype(dtype)
+            ref_rv = rv * (1.0 - s.momentum) + (s.momentum * var).astype(dtype)
+            for name, a, b in (("out", out, ref_out), ("xhat", xhat, ref_xhat),
+                               ("running_mean", s.running_mean, ref_rm),
+                               ("running_var", s.running_var, ref_rv)):
+                assert a.dtype == dtype, name
+                assert a.tobytes() == b.tobytes(), (name, shape)
+
     def test_channel_mismatch(self, rng):
         x = Tensor4(rng.normal(size=(1, 3, 4, 4)))
         with pytest.raises(ShapeError, match="channel"):
