@@ -186,36 +186,26 @@ class CheckReport:
         })
 
 
-def _named_arrays(params) -> list[tuple[str, np.ndarray]]:
-    if isinstance(params, Mapping):
-        return list(params.items())
-    # duck-typed ParamStore: iterate trainable name -> array pairs
-    named = getattr(params, "named_trainable", None)
-    if named is not None:
-        return list(named())
-    raise AutogradError("params must be a mapping or expose named_trainable()")
-
-
-def finite_diff_check(f, params, eps: float = 1e-5, tol: float = 1e-4,
-                      max_coords: int = 256, rng=None,
+def finite_diff_check(f, params: Mapping[str, np.ndarray], eps: float = 1e-5,
+                      tol: float = 1e-4, max_coords: int = 256, rng=None,
                       name: str = "loss") -> CheckReport:
     """Compare tape gradients against central finite differences.
 
-    `f` is a deterministic scalar function of the parameter arrays. It is
-    called as ``f(params, need_grad=True)`` once, returning
-    ``(loss, grads)`` with grads keyed by parameter name (missing keys
-    mean zero), and as ``f(params)`` for plain evaluations. Parameters
-    must be float64; each coordinate is perturbed in place by +-eps and
-    the central difference (f(p+eps) - f(p-eps)) / (2 eps) is compared to
-    the tape gradient using the relative error |a-b| / max(1, |a|, |b|).
+    `params` maps names to parameter arrays, and `f` is a deterministic
+    scalar function of them. It is called as ``f(params, need_grad=True)``
+    once, returning ``(loss, grads)`` with grads keyed by parameter name
+    (missing keys mean zero), and as ``f(params)`` for plain evaluations.
+    Parameters must be float64; each coordinate is perturbed in place by
+    +-eps and the central difference (f(p+eps) - f(p-eps)) / (2 eps) is
+    compared to the tape gradient using the relative error
+    |a-b| / max(1, |a|, |b|).
     At most `max_coords` randomly sampled coordinates are checked per
     parameter (all of them when the parameter is small enough).
     """
     if not (1e-6 <= eps <= 1e-3):
         raise AutogradError(f"eps={eps} outside [1e-6, 1e-3]")
     rng = np.random.default_rng(0) if rng is None else rng
-    named = _named_arrays(params)
-    for pname, arr in named:
+    for pname, arr in params.items():
         if arr.dtype != np.float64:
             raise AutogradError(
                 f"finite_diff_check needs float64 params; {pname} is {arr.dtype}"
@@ -227,7 +217,7 @@ def finite_diff_check(f, params, eps: float = 1e-5, tol: float = 1e-4,
 
     max_rel = 0.0
     worst = ("", -1)
-    for pname, arr in named:
+    for pname, arr in params.items():
         size = arr.size
         if size <= max_coords:
             coords = np.arange(size)

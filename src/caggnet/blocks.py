@@ -1,5 +1,6 @@
 """Composite blocks: ConvBlock, crossing-aggregation node, weighted
-aggregation block, and the bottom-up fusion head.
+aggregation block, and the bottom-up fusion head, plus the parameter
+containers they read.
 
 All forwards take tape handles (`Var`) and compose the ops of
 `functional`, so the same code path serves training and evaluation: eval
@@ -11,10 +12,43 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import functional as F
 from .autograd import Var
-from .nn_ops import BatchNormState, Conv2dParams
+from .functional import BatchNormState
 from .tensor_core import ShapeError
+
+
+@dataclass
+class Conv2dParams:
+    """Square-kernel convolution weights: (c_out, c_in, k, k) plus bias.
+
+    k = 3 implies zero padding 1, k = 1 implies padding 0; stride is
+    always 1, so spatial extents are preserved.
+    """
+
+    weight: np.ndarray
+    bias: np.ndarray
+
+    def __post_init__(self):
+        w = self.weight
+        if w.ndim != 4 or w.shape[2] != w.shape[3]:
+            raise ShapeError(f"conv weight must be (c_out, c_in, k, k), got {w.shape}")
+        if w.shape[2] not in (1, 3):
+            raise ShapeError(f"kernel size {w.shape[2]} not in {{1, 3}}")
+        if self.bias.shape != (w.shape[0],):
+            raise ShapeError(
+                f"bias length {self.bias.shape} does not match c_out={w.shape[0]}"
+            )
+
+    @property
+    def c_out(self) -> int:
+        return self.weight.shape[0]
+
+    @property
+    def c_in(self) -> int:
+        return self.weight.shape[1]
 
 
 @dataclass
@@ -33,17 +67,6 @@ class ConvBlock:
                 f"conv1 out={self.conv1.c_out}, conv2 in={self.conv2.c_in}, "
                 f"conv2 out={self.conv2.c_out}"
             )
-
-
-@dataclass
-class CamNode:
-    """One crossing-aggregation grid node.
-
-    `body` maps the concatenated multi-scale input back to the node's own
-    channel width so the residual sum is well defined.
-    """
-
-    body: ConvBlock
 
 
 @dataclass
@@ -68,35 +91,35 @@ class WabParams:
             )
 
 
-def _conv_param_vars(x: Var, p: Conv2dParams) -> tuple[Var, Var]:
+def _conv(x: Var, p: Conv2dParams) -> Var:
+    """conv2d with the layer's weight and bias as leaves on x's tape."""
     t = x.tape
-    return t.leaf(p.weight), t.leaf(p.bias)
+    return F.conv2d(x, t.leaf(p.weight), t.leaf(p.bias))
+
+
+def _bn(x: Var, s: BatchNormState, training: bool) -> Var:
+    """batchnorm2d with the layer's gamma and beta as leaves on x's tape."""
+    t = x.tape
+    return F.batchnorm2d(x, t.leaf(s.gamma), t.leaf(s.beta), s, training)
 
 
 def conv_block_forward(x: Var, b: ConvBlock, training: bool) -> Var:
     """relu(bn2(conv2(relu(bn1(conv1(x)))))), spatial size preserved."""
-    t = x.tape
-    w1, b1 = _conv_param_vars(x, b.conv1)
-    h = F.conv2d(x, w1, b1)
-    h = F.batchnorm2d(h, t.leaf(b.bn1.gamma), t.leaf(b.bn1.beta), b.bn1, training)
-    h = F.relu(h)
-    w2, b2 = _conv_param_vars(x, b.conv2)
-    h = F.conv2d(h, w2, b2)
-    h = F.batchnorm2d(h, t.leaf(b.bn2.gamma), t.leaf(b.bn2.beta), b.bn2, training)
-    return F.relu(h)
+    h = F.relu(_bn(_conv(x, b.conv1), b.bn1, training))
+    return F.relu(_bn(_conv(h, b.conv2), b.bn2, training))
 
 
 def cam_forward(x_same_prev: Var, x_above: Var | None, x_below: Var | None,
-                node: CamNode, training: bool) -> Var:
+                body: ConvBlock, training: bool) -> Var:
     """Crossing aggregation: fuse the same-level feature with a
     downsampled finer feature and an upsampled coarser feature, then add
     the result back onto the same-level input.
 
     The concatenation order is fixed as [same, pooled above, upsampled
     below]; absent neighbors (top and bottom grid rows) are simply
-    skipped. The residual sum forces the body's output channels to equal
-    x_same_prev's, so the node is an identity map when its body is
-    zero-initialized.
+    skipped. `body` maps the aggregate back to the node's own width: the
+    residual sum forces its output channels to equal x_same_prev's, so
+    the node is an identity map when its body is zero-initialized.
     """
     _, sc, sh, sw = x_same_prev.value.shape
     parts = [x_same_prev]
@@ -121,17 +144,17 @@ def cam_forward(x_same_prev: Var, x_above: Var | None, x_below: Var | None,
             )
         parts.append(F.upsample_nearest2(x_below))
     z = parts[0] if len(parts) == 1 else F.concat_channels(parts)
-    if z.value.shape[1] != node.body.conv1.c_in:
+    if z.value.shape[1] != body.conv1.c_in:
         raise ShapeError(
             f"aggregated input has {z.value.shape[1]} channels but the node "
-            f"body expects {node.body.conv1.c_in}"
+            f"body expects {body.conv1.c_in}"
         )
-    if node.body.conv2.c_out != sc:
+    if body.conv2.c_out != sc:
         raise ShapeError(
-            f"node body emits {node.body.conv2.c_out} channels; residual "
+            f"node body emits {body.conv2.c_out} channels; residual "
             f"needs {sc}"
         )
-    return F.add(x_same_prev, conv_block_forward(z, node.body, training))
+    return F.add(x_same_prev, conv_block_forward(z, body, training))
 
 
 def wab_forward(x: Var, p: WabParams) -> Var:
@@ -142,12 +165,8 @@ def wab_forward(x: Var, p: WabParams) -> Var:
         raise ShapeError(
             f"attention expects {p.fc1.c_in} channels, got {x.value.shape[1]}"
         )
-    v = F.global_avg_pool(x)
-    w1, b1 = _conv_param_vars(x, p.fc1)
-    v = F.relu(F.conv2d(v, w1, b1))
-    w2, b2 = _conv_param_vars(x, p.fc2)
-    w = F.sigmoid(F.conv2d(v, w2, b2))
-    return F.channel_scale(x, w)
+    v = F.relu(_conv(F.global_avg_pool(x), p.fc1))
+    return F.channel_scale(x, F.sigmoid(_conv(v, p.fc2)))
 
 
 def wam_head(per_level_feats: list[Var], wabs: list[WabParams],
@@ -181,8 +200,5 @@ def wam_head(per_level_feats: list[Var], wabs: list[WabParams],
                 f"{up.value.shape[2:]} vs {gated[k].value.shape[2:]}"
             )
         merged = F.concat_channels([gated[k], up])
-        fc = fuse_convs[level]
-        wv, bv = _conv_param_vars(merged, fc)
-        running = F.relu(F.conv2d(merged, wv, bv))
-    hw, hb = _conv_param_vars(running, head)
-    return F.sigmoid(F.conv2d(running, hw, hb))
+        running = F.relu(_conv(merged, fuse_convs[level]))
+    return F.sigmoid(_conv(running, head))

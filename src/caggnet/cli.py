@@ -65,6 +65,23 @@ def _pin_threads(n: int) -> None:
         os.environ[var] = str(n)
 
 
+def _check_leaf(where: str, default, value) -> None:
+    """A config value must have its default's type: an int counts as a
+    float but a bool never as an int. `data_dir` is a string or null;
+    `threads` is checked by `_resolve_threads`."""
+    if where == "threads":
+        return
+    if default is None:
+        ok, kind = value is None or isinstance(value, str), "a string or null"
+    elif isinstance(default, float):
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        kind = "a number"
+    else:
+        ok, kind = type(value) is type(default), type(default).__name__
+    if not ok:
+        raise CliError(f"config key {where!r} must be {kind}, got {value!r}")
+
+
 def _merge_config(base: dict, override: dict, path: str = "") -> dict:
     out = dict(base)
     for key, value in override.items():
@@ -76,6 +93,7 @@ def _merge_config(base: dict, override: dict, path: str = "") -> dict:
                 raise CliError(f"config key {where!r} must be an object")
             out[key] = _merge_config(base[key], value, where)
         else:
+            _check_leaf(where, base[key], value)
             out[key] = value
     return out
 
@@ -149,13 +167,13 @@ def _build_model(cfg: dict):
 
     m = cfg["model"]
     mc = ModelConfig(
-        levels=int(m["levels"]),
-        columns=int(m["columns"]),
-        base_channels=int(m["base_channels"]),
-        in_channels=int(m["in_channels"]),
+        levels=m["levels"],
+        columns=m["columns"],
+        base_channels=m["base_channels"],
+        in_channels=m["in_channels"],
         upsample_mode=m["upsample_mode"],
-        wab_reduction=int(m["wab_reduction"]),
-        seed=int(cfg["seed"]),
+        wab_reduction=m["wab_reduction"],
+        seed=cfg["seed"],
         dtype="single",
     )
     if m["arch"] == "caggnet":
@@ -178,7 +196,7 @@ def _load_split_dataset(cfg: dict):
         train, val = data_io.split_from_manifest(samples, manifest)
     else:
         train, val = data_io.split(samples, cfg["train"]["train_fraction"],
-                                   seed=int(cfg["seed"]))
+                                   seed=cfg["seed"])
     return train, val
 
 
@@ -193,17 +211,17 @@ def cmd_train(args, cfg: dict) -> int:
                         clamp_eps=cfg["loss"]["clamp_eps"])
     optim = AdamState(lr=cfg["optim"]["lr"], beta1=cfg["optim"]["beta1"],
                       beta2=cfg["optim"]["beta2"], eps=cfg["optim"]["eps"])
-    stopper = EarlyStopper(patience=int(cfg["train"]["patience"]))
+    stopper = EarlyStopper(patience=cfg["train"]["patience"])
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
     try:
         log = train_loop(
             model, train_set, val_set, loss_fn, optim, stopper,
-            epochs_max=int(cfg["train"]["epochs_max"]),
-            batch_size=int(cfg["train"]["batch_size"]),
-            seed=int(cfg["seed"]),
-            threshold=float(cfg["train"]["threshold"]),
+            epochs_max=cfg["train"]["epochs_max"],
+            batch_size=cfg["train"]["batch_size"],
+            seed=cfg["seed"],
+            threshold=cfg["train"]["threshold"],
             checkpoint_dir=out_dir / "checkpoint",
         )
     except TrainingDiverged as e:
@@ -250,7 +268,7 @@ def cmd_eval(args, cfg: dict) -> int:
 
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    threshold = float(cfg["train"]["threshold"])
+    threshold = cfg["train"]["threshold"]
     report, preds = evaluate_model(model, samples, threshold=threshold,
                                    keep_predictions=True)
     report.write_csv(out_dir / "metrics.csv")
@@ -313,7 +331,7 @@ def cmd_synth(args, cfg: dict) -> int:
             count=args.count, size=args.size,
             blobs_min=args.blobs_min, blobs_max=args.blobs_max,
             radius_min=args.radius_min, radius_max=args.radius_max,
-            noise_sigma=args.noise_sigma, seed=int(cfg["seed"]),
+            noise_sigma=args.noise_sigma, seed=cfg["seed"],
         )
         synth.validate()
         samples = data_io.gen_synthetic(synth)

@@ -253,6 +253,20 @@ def split(samples: list[Sample], train_fraction: float,
 MANIFEST_NAME = "manifest.json"
 
 
+def read_manifest(path) -> dict:
+    """Parse a dataset or checkpoint manifest. Malformed JSON re-raises
+    `json.JSONDecodeError`, and any other top-level value a ValueError,
+    both naming the file."""
+    with open(path) as fh:
+        try:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise json.JSONDecodeError(f"{path}: {e.msg}", e.doc, e.pos) from None
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: manifest must be a JSON object")
+    return manifest
+
+
 def save_dataset(directory, samples: list[Sample],
                  split_ids: dict[str, list[str]] | None = None) -> None:
     directory = Path(directory)
@@ -276,8 +290,7 @@ def load_dataset(directory) -> tuple[list[Sample], dict]:
     manifest_path = directory / MANIFEST_NAME
     if not manifest_path.exists():
         raise FileNotFoundError(f"no {MANIFEST_NAME} in {directory}")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    manifest = read_manifest(manifest_path)
     if "ids" not in manifest:
         raise ValueError(f"dataset {directory}: {MANIFEST_NAME} has no 'ids'")
     known = set(manifest["ids"])

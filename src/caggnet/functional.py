@@ -14,7 +14,7 @@ tap over every output pixel of every image is one contiguous slice, and
 `_crop` turns it back into NCHW. Only the forward's inner loop depends
 on the dtype. The ordered loop multiplies and adds one input channel and
 tap at a time in the fixed (ci, ki, kj) order of
-`nn_ops.conv2d_reference`; float64 takes it, so the two are
+`gradcheck.conv2d_reference`; float64 takes it, so the two are
 bit-identical, which gradient checking and the conv equivalence test
 rely on. The float32 loop (the default precision) makes one BLAS matmul
 per tap over all input channels and rounds differently, except with one
@@ -28,11 +28,15 @@ two BLAS matmuls per tap for both dtypes, each over the batch.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .autograd import TapeNode, Var, register_backward
-from .nn_ops import BatchNormState
 from .tensor_core import ShapeError
+
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
 
 
 def add(a: Var, b: Var) -> Var:
@@ -230,6 +234,27 @@ def _upsample_nearest2_bwd(node: TapeNode, g: np.ndarray):
     return ((a + b) + (c + d),)
 
 
+@dataclass
+class BatchNormState:
+    """Per-channel batch-norm state: learnable gamma/beta, and the running
+    statistics that `batchnorm2d` updates with `BN_MOMENTUM` in training
+    mode and consumes in eval mode. Normalization uses the biased batch
+    variance; running_var stores the same quantity."""
+
+    gamma: np.ndarray
+    beta: np.ndarray
+    running_mean: np.ndarray
+    running_var: np.ndarray
+
+    def __post_init__(self):
+        c = self.gamma.shape[0]
+        for name in ("beta", "running_mean", "running_var"):
+            if getattr(self, name).shape != (c,):
+                raise ShapeError(f"batchnorm {name} must have shape ({c},)")
+        if np.any(self.running_var < 0):
+            raise ShapeError("running_var must be >= 0")
+
+
 def batchnorm2d(x: Var, gamma: Var, beta: Var, state: BatchNormState,
                 training: bool) -> Var:
     """Normalize per channel: batch statistics in training mode, which
@@ -246,7 +271,7 @@ def batchnorm2d(x: Var, gamma: Var, beta: Var, state: BatchNormState,
         mean = xv.mean(axis=(0, 2, 3), keepdims=True)
         xc = xv - mean
         var = np.square(xc).mean(axis=(0, 2, 3))
-        m = state.momentum
+        m = BN_MOMENTUM
         state.running_mean *= 1.0 - m
         state.running_mean += (m * mean.reshape(-1)).astype(state.running_mean.dtype)
         state.running_var *= 1.0 - m
@@ -254,7 +279,7 @@ def batchnorm2d(x: Var, gamma: Var, beta: Var, state: BatchNormState,
     else:
         xc = xv - state.running_mean.astype(xv.dtype).reshape(1, -1, 1, 1)
         var = state.running_var.astype(xv.dtype)
-    inv = 1.0 / np.sqrt(var + state.eps)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat = xc * inv.reshape(1, -1, 1, 1)
     out = gv.reshape(1, -1, 1, 1) * xhat + beta.value.reshape(1, -1, 1, 1)
     return x.tape.record("batchnorm2d", (x, gamma, beta), out,

@@ -11,6 +11,10 @@ spaced grids, so gaps are far larger than the perturbation step) and from
 the probability clamps in the losses. Outputs are reduced to a scalar
 through a fixed random weighting so transposed-index mistakes cannot
 cancel out.
+
+`conv2d_reference` is the convolution oracle: a naive scalar loop kept
+free of any code shared with `functional.conv2d`, so that in double
+precision the two must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -20,10 +24,47 @@ import numpy as np
 from . import functional as F
 from . import train as T
 from .autograd import CheckReport, Tape, backward, finite_diff_check
-from .blocks import cam_forward, conv_block_forward, wab_forward, wam_head
-from .models import ModelConfig, build_caggnet, build_unet, forward
-from .nn_ops import BatchNormState
-from .tensor_core import Tensor4
+from .blocks import (Conv2dParams, cam_forward, conv_block_forward, wab_forward,
+                     wam_head)
+from .functional import BatchNormState
+from .models import (ModelConfig, ParamStore, _init_conv_block, _init_wab,
+                     build_caggnet, build_unet, forward)
+from .tensor_core import ShapeError, Tensor4
+
+
+def conv2d_reference(x: Tensor4, p: Conv2dParams) -> Tensor4:
+    """Naive scalar-loop convolution used as the independent oracle.
+
+    Walks every output pixel and accumulates bias + sum over (ci, ki, kj)
+    with Python float arithmetic. Double precision only; kept free of any
+    shared code with the production kernel.
+    """
+    xd = x.data
+    if xd.dtype != np.float64:
+        raise ShapeError("conv2d_reference is double precision only")
+    w, b = p.weight, p.bias
+    n, c_in, h, wd = xd.shape
+    c_out, c_in2, k, _ = w.shape
+    if c_in2 != c_in:
+        raise ShapeError(f"conv2d channel mismatch: input c={c_in}, weight c_in={c_in2}")
+    pad = (k - 1) // 2
+    out = np.empty((n, c_out, h, wd), dtype=np.float64)
+    for b_i in range(n):
+        for co in range(c_out):
+            for i in range(h):
+                for j in range(wd):
+                    acc = float(b[co])
+                    for ci in range(c_in):
+                        for ki in range(k):
+                            for kj in range(k):
+                                ii = i + ki - pad
+                                jj = j + kj - pad
+                                if 0 <= ii < h and 0 <= jj < wd:
+                                    acc += float(xd[b_i, ci, ii, jj]) * float(
+                                        w[co, ci, ki, kj]
+                                    )
+                    out[b_i, co, i, j] = acc
+    return Tensor4(out)
 
 
 def _spread(rng: np.random.Generator, shape, low=-1.0, high=1.0,
@@ -166,22 +207,14 @@ def _check_conv_block(rng):
                      params)
 
 
-def _make_cam_node(rng, z_channels: int, out_channels: int):
-    # standalone node body with the right widths, via a scratch store
-    from .models import ParamStore, _init_conv_block
-    from .blocks import CamNode
-
-    store = ParamStore()
-    body = _init_conv_block(store, "body", z_channels, out_channels,
-                            np.random.default_rng(13), np.float64)
-    return CamNode(body=body), store
-
-
 def _check_cam(rng, above: bool, below: bool):
     c = 4
     z = c + (c // 2 if above else 0) + (2 * c if below else 0)
-    node, store = _make_cam_node(rng, z, c)
-    params = {name: arr for name, arr in store.named_trainable()}
+    # standalone node body with the right widths, via a scratch store
+    store = ParamStore()
+    body = _init_conv_block(store, "body", z, c, np.random.default_rng(13),
+                            np.float64)
+    params = dict(store.named_trainable())
     params["same"] = _spread(rng, (1, c, 4, 4))
     if above:
         params["above"] = _spread(rng, (1, c // 2, 8, 8))
@@ -190,17 +223,15 @@ def _check_cam(rng, above: bool, below: bool):
 
     tag = f"cam_{'a' if above else '-'}{'b' if below else '-'}"
     return _check_op(tag, lambda v: cam_forward(v["same"], v.get("above"),
-                                                v.get("below"), node,
+                                                v.get("below"), body,
                                                 training=True),
                      params)
 
 
 def _check_wab(rng):
-    from .models import ParamStore, _init_wab
-
     store = ParamStore()
     wab = _init_wab(store, "wab", 4, 2, np.random.default_rng(17), np.float64)
-    params = {name: arr for name, arr in store.named_trainable()}
+    params = dict(store.named_trainable())
     params["x"] = _spread(rng, (2, 4, 4, 4))
     return _check_op("wab", lambda v: wab_forward(v["x"], wab), params)
 
@@ -250,8 +281,8 @@ def _check_full_model(arch: str, max_coords: int):
                   for name, arr in model.params.named_trainable()}
         return loss, leaves
 
-    return _run_check(f"{arch}_focal", model.params, build,
-                      max_coords=max_coords)
+    return _run_check(f"{arch}_focal", dict(model.params.named_trainable()),
+                      build, max_coords=max_coords)
 
 
 def model_checks(seed: int = 0, max_coords: int = 256) -> list[CheckReport]:

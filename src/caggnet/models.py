@@ -27,14 +27,16 @@ import numpy as np
 from . import functional as F
 from .autograd import Tape, Var
 from .blocks import (
-    CamNode,
+    Conv2dParams,
     ConvBlock,
     WabParams,
+    _conv,
     cam_forward,
     conv_block_forward,
     wam_head,
 )
-from .nn_ops import BatchNormState, Conv2dParams
+from .data_io import read_manifest
+from .functional import BatchNormState
 from .tensor_core import DTYPE_OF_TAG, ShapeError, Tensor4, read_tensor, write_tensor
 
 
@@ -208,7 +210,7 @@ def _init_wab(store: ParamStore, name: str, c: int, r: int,
 class CaggNet:
     cfg: ModelConfig
     encoder: list[ConvBlock]
-    grid: list[list[CamNode]]  # grid[j][i]: column j+1, level i
+    grid: list[list[ConvBlock]]  # grid[j][i]: column j+1, level i
     wabs: list[WabParams]      # indexed by level
     fuse: list[Conv2dParams]   # indexed by level, 0 .. L-2
     head: Conv2dParams
@@ -275,9 +277,8 @@ def build_caggnet(cfg: ModelConfig) -> CaggNet:
                 z += cfg.width(i - 1)
             if i < L - 1:
                 z += cfg.width(i + 1)
-            body = _init_conv_block(store, f"cam{j}_{i}", z, cfg.width(i),
-                                    rng, dtype)
-            column.append(CamNode(body=body))
+            column.append(_init_conv_block(store, f"cam{j}_{i}", z,
+                                           cfg.width(i), rng, dtype))
         grid.append(column)
 
     wabs = [
@@ -366,8 +367,7 @@ def _unet_graph(model: UNet, x: Var, training: bool) -> Var:
     for i in range(L - 2, -1, -1):
         merged = F.concat_channels([feats[i], F.upsample_nearest2(d)])
         d = conv_block_forward(merged, model.decoder[i], training)
-    t = x.tape
-    return F.sigmoid(F.conv2d(d, t.leaf(model.head.weight), t.leaf(model.head.bias)))
+    return F.sigmoid(_conv(d, model.head))
 
 
 def forward(model, x: Tensor4, training: bool = False) -> ForwardPass:
@@ -442,8 +442,7 @@ def save_checkpoint(directory, model) -> None:
 def load_checkpoint(directory):
     """Rebuild a model from a checkpoint directory."""
     directory = Path(directory)
-    with open(directory / CHECKPOINT_MANIFEST) as fh:
-        manifest = json.load(fh)
+    manifest = read_manifest(directory / CHECKPOINT_MANIFEST)
     if manifest.get("format") != CHECKPOINT_FORMAT:
         raise ConfigError(f"checkpoint {directory} has format "
                           f"{manifest.get('format')!r}; expected {CHECKPOINT_FORMAT}")

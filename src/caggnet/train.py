@@ -121,6 +121,10 @@ class AdamState:
     eps: float = 1e-8
     t: int = 0
 
+    def __post_init__(self):
+        if self.lr <= 0:
+            raise ValueError(f"lr must be > 0, got {self.lr}")
+
 
 def adam_step(store: ParamStore, state: AdamState) -> None:
     """One bias-corrected Adam update, in place; gradients are zeroed
@@ -153,6 +157,10 @@ class EarlyStopper:
     patience: int = 32
     best_metric: float = float("-inf")
     epochs_since_best: int = 0
+
+    def __post_init__(self):
+        if self.patience < 0:
+            raise ValueError(f"patience must be >= 0, got {self.patience}")
 
     def update(self, metric: float) -> bool:
         if metric > self.best_metric:
@@ -227,6 +235,8 @@ def train_loop(model, train_samples, val_samples, loss_fn,
         raise ValueError("train and validation sets must both be non-empty")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
+    if epochs_max < 1:
+        raise ValueError(f"epochs_max must be >= 1, got {epochs_max}")
     rng = np.random.default_rng(seed)
     dtype = DTYPE_OF_TAG[model.cfg.dtype]
     log = TrainingLog()

@@ -13,7 +13,7 @@ import pytest
 
 from caggnet import functional as F
 from caggnet.autograd import Tape
-from caggnet.blocks import CamNode, ConvBlock, cam_forward
+from caggnet.blocks import Conv2dParams, ConvBlock, cam_forward
 from caggnet.cli import main as cli_main
 from caggnet.data_io import (
     SynthConfig,
@@ -25,6 +25,8 @@ from caggnet.data_io import (
     split_from_manifest,
     write_netpbm,
 )
+from caggnet.functional import BatchNormState
+from caggnet.gradcheck import conv2d_reference
 from caggnet.metrics import (
     ConfusionCounts,
     evaluate_model,
@@ -40,7 +42,6 @@ from caggnet.models import (
     load_checkpoint,
     save_checkpoint,
 )
-from caggnet.nn_ops import BatchNormState, Conv2dParams, conv2d_reference
 from caggnet.tensor_core import Tensor4
 from caggnet.train import (
     AdamState,
@@ -131,14 +132,14 @@ def test_criterion_4_residual_identity():
         for below in (False, True):
             for training in (False, True):
                 z = c + (c // 2 if above else 0) + (2 * c if below else 0)
-                node = CamNode(body=_zero_block(z, c))
+                body = _zero_block(z, c)
                 same = rng.normal(size=(1, c, 4, 4))
                 t = Tape()
                 out = cam_forward(
                     t.leaf(same),
                     t.leaf(rng.normal(size=(1, c // 2, 8, 8))) if above else None,
                     t.leaf(rng.normal(size=(1, 2 * c, 2, 2))) if below else None,
-                    node, training=training)
+                    body, training=training)
                 dev = float(np.max(np.abs(out.value - same)))
                 worst = max(worst, dev)
                 cases.append(dev)

@@ -6,7 +6,7 @@ import pytest
 from caggnet import functional as F
 from caggnet.autograd import Tape
 from caggnet.blocks import (
-    CamNode,
+    Conv2dParams,
     ConvBlock,
     WabParams,
     cam_forward,
@@ -14,7 +14,7 @@ from caggnet.blocks import (
     wab_forward,
     wam_head,
 )
-from caggnet.nn_ops import BatchNormState, Conv2dParams
+from caggnet.functional import BatchNormState
 from caggnet.tensor_core import ShapeError
 
 BN_EVAL_SCALE = 1.0 / math.sqrt(1.0 + 1e-5)  # fresh running stats: mean 0, var 1
@@ -102,7 +102,7 @@ class TestCamForward:
     def test_zero_body_is_identity(self, rng, above, below):
         c = 4
         z = c + (c // 2 if above else 0) + (2 * c if below else 0)
-        node = CamNode(body=make_block(z, c, zero=True))
+        node = make_block(z, c, zero=True)
         same = rng.normal(size=(1, c, 4, 4))
         a = rng.normal(size=(1, c // 2, 8, 8)) if above else None
         b = rng.normal(size=(1, 2 * c, 2, 2)) if below else None
@@ -121,7 +121,7 @@ class TestCamForward:
             c = 2 * int(rng.integers(1, 4))
             h = 2 * int(rng.integers(2, 5))
             z = c + (c // 2 if above else 0) + (2 * c if below else 0)
-            node = CamNode(body=make_block(z, c, rng))
+            node = make_block(z, c, rng)
             same = rng.normal(size=(1, c, h, h))
             t = Tape()
             out = cam_forward(
@@ -142,8 +142,8 @@ class TestCamForward:
         w2 = np.zeros((1, 1, 3, 3))
         w2[0, 0, 1, 1] = 0.5
         conv2 = make_conv(1, 1, 3, weight=w2, bias=[0.2])
-        node = CamNode(body=ConvBlock(conv1=conv1, bn1=make_bn(1),
-                                      conv2=conv2, bn2=make_bn(1)))
+        node = ConvBlock(conv1=conv1, bn1=make_bn(1), conv2=conv2,
+                         bn2=make_bn(1))
 
         t = Tape()
         out = cam_forward(t.leaf(same), None, t.leaf(below), node,
@@ -161,7 +161,7 @@ class TestCamForward:
         assert np.allclose(out.value[0, 0], expect, rtol=0, atol=1e-14)
 
     def test_above_spatial_mismatch_rejected(self, rng):
-        node = CamNode(body=make_block(6, 4, rng))
+        node = make_block(6, 4, rng)
         t = Tape()
         with pytest.raises(ShapeError, match="2x the spatial size"):
             cam_forward(t.leaf(rng.normal(size=(1, 4, 4, 4))),
@@ -169,7 +169,7 @@ class TestCamForward:
                         node, training=True)
 
     def test_body_width_mismatch_rejected(self, rng):
-        node = CamNode(body=make_block(5, 4, rng))
+        node = make_block(5, 4, rng)
         t = Tape()
         with pytest.raises(ShapeError, match="body expects"):
             cam_forward(t.leaf(rng.normal(size=(1, 4, 4, 4))), None, None,

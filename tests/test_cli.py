@@ -40,6 +40,14 @@ def corrupt_manifest(path: Path, corruption) -> None:
     path.write_text(json.dumps(manifest))
 
 
+# manifest texts that are not a JSON object: each must exit 1 naming the file
+MALFORMED_MANIFESTS = {
+    "truncated": '{"ids": [',
+    "single-quoted": "{'ids': []}",
+    "not-an-object": "5",
+}
+
+
 class TestConfig:
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -153,6 +161,55 @@ class TestTrain:
                      "--out", str(tmp_path / "r")] + self.TRAIN_ARGS) == 1
         err = capsys.readouterr().err
         assert str(dataset) in err and named in err
+        assert not (tmp_path / "r" / "train_log.csv").exists()
+
+    # each config value must have its default's type (an int counts as a
+    # float, a bool never as a number); a wrong one exits 1 naming its key
+    @pytest.mark.parametrize("config,named", [
+        ({"optim": {"lr": "0.01"}}, "optim.lr"),
+        ({"optim": {"lr": True}}, "optim.lr"),
+        ({"loss": {"alpha": "0.25"}}, "loss.alpha"),
+        ({"model": {"levels": 2.9}}, "model.levels"),
+        ({"train": {"batch_size": True}}, "train.batch_size"),
+        ({"seed": "7"}, "'seed'"),
+        ({"train": {"threshold": "x"}}, "train.threshold"),
+        ({"data_dir": 5}, "data_dir"),
+        ({"out_dir": None}, "out_dir"),
+    ])
+    def test_wrong_config_type_exits_1_naming_key(self, dataset, tmp_path, capsys,
+                                                  config, named):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["train", "--config", str(cfg), "--data", str(dataset),
+                     "--out", str(tmp_path / "r")] + self.TRAIN_ARGS) == 1
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not (tmp_path / "r" / "train_log.csv").exists()
+
+    @pytest.mark.parametrize("flags,config,named", [
+        (["--epochs", "0"], {}, "epochs_max"),
+        (["--patience", "-1"], {}, "patience"),
+        ([], {"optim": {"lr": 0}}, "lr"),
+        (["--lr", "-0.001"], {}, "lr"),
+    ])
+    def test_bad_training_knob_exits_1_naming_it(self, dataset, tmp_path, capsys,
+                                                 flags, config, named):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["train", "--config", str(cfg), "--data", str(dataset),
+                     "--out", str(tmp_path / "r")] + self.TRAIN_ARGS + flags) == 1
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "r" / "train_log.csv").exists()
+        assert not (tmp_path / "r" / "checkpoint").exists()
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
+    def test_malformed_dataset_manifest_exits_1_naming_it(self, dataset, tmp_path,
+                                                          capsys, case):
+        (dataset / "manifest.json").write_text(MALFORMED_MANIFESTS[case])
+        assert main(["train", "--data", str(dataset),
+                     "--out", str(tmp_path / "r")] + self.TRAIN_ARGS) == 1
+        err = capsys.readouterr().err
+        assert str(dataset / "manifest.json") in err and "Traceback" not in err
         assert not (tmp_path / "r" / "train_log.csv").exists()
 
     def test_deterministic_reruns(self, dataset, tmp_path):
@@ -292,6 +349,17 @@ class TestEval:
                      "--out", str(tmp_path / "e"), "--split", "val"]) == 1
         err = capsys.readouterr().err
         assert str(dataset) in err and named in err
+        assert not (tmp_path / "e" / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
+    def test_malformed_checkpoint_manifest_exits_1_naming_it(self, dataset, tmp_path,
+                                                             capsys, case):
+        ckpt = self.fresh_checkpoint(tmp_path)
+        (ckpt / "manifest.json").write_text(MALFORMED_MANIFESTS[case])
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(dataset),
+                     "--out", str(tmp_path / "e")]) == 1
+        err = capsys.readouterr().err
+        assert str(ckpt / "manifest.json") in err and "Traceback" not in err
         assert not (tmp_path / "e" / "metrics.csv").exists()
 
     def test_missing_checkpoint_exits_1(self, dataset, tmp_path):

@@ -5,7 +5,9 @@ import pytest
 
 from caggnet import functional as F
 from caggnet.autograd import Tape, TapeNode, backward
-from caggnet.nn_ops import BatchNormState, Conv2dParams, conv2d_reference
+from caggnet.blocks import Conv2dParams
+from caggnet.functional import BN_EPS, BN_MOMENTUM, BatchNormState
+from caggnet.gradcheck import conv2d_reference
 from caggnet.tensor_core import ShapeError, Tensor4
 
 
@@ -290,7 +292,7 @@ class TestBatchNorm:
         before = (s.running_mean.copy(), s.running_var.copy())
         out = batchnorm2d(x, s, training=False).data
         expect = (x.data - s.running_mean.reshape(1, -1, 1, 1)) / np.sqrt(
-            s.running_var.reshape(1, -1, 1, 1) + s.eps)
+            s.running_var.reshape(1, -1, 1, 1) + BN_EPS)
         assert np.allclose(out, expect)
         assert np.array_equal(before[0], s.running_mean)
         assert np.array_equal(before[1], s.running_var)
@@ -313,11 +315,11 @@ class TestBatchNorm:
 
             mean = x.mean(axis=(0, 2, 3))
             var = x.var(axis=(0, 2, 3))
-            inv = 1.0 / np.sqrt(var + s.eps)
+            inv = 1.0 / np.sqrt(var + BN_EPS)
             ref_xhat = (x - mean.reshape(1, -1, 1, 1)) * inv.reshape(1, -1, 1, 1)
             ref_out = gamma.reshape(1, -1, 1, 1) * ref_xhat + beta.reshape(1, -1, 1, 1)
-            ref_rm = rm * (1.0 - s.momentum) + (s.momentum * mean).astype(dtype)
-            ref_rv = rv * (1.0 - s.momentum) + (s.momentum * var).astype(dtype)
+            ref_rm = rm * (1.0 - BN_MOMENTUM) + (BN_MOMENTUM * mean).astype(dtype)
+            ref_rv = rv * (1.0 - BN_MOMENTUM) + (BN_MOMENTUM * var).astype(dtype)
             for name, a, b in (("out", out, ref_out), ("xhat", xhat, ref_xhat),
                                ("running_mean", s.running_mean, ref_rm),
                                ("running_var", s.running_var, ref_rv)):

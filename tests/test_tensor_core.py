@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from caggnet import functional as F
 from caggnet.autograd import Tape
@@ -244,3 +247,61 @@ class TestDumpFormat:
         path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(TensorError, match="payload"):
             read_tensor(path)
+
+
+# --- property tests ------------------------------------------------------------
+#
+# Derandomized with a small example budget, so every run checks the same
+# cases and stays fast.
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=30,
+                    deadline=None)
+
+dumpable = st.sampled_from([np.float32, np.float64]).flatmap(
+    lambda dtype: hnp.arrays(
+        dtype, hnp.array_shapes(min_dims=4, max_dims=4, max_side=4),
+        elements=st.floats(-1e6, 1e6, width=np.dtype(dtype).itemsize * 8)))
+
+
+@pytest.fixture(scope="module")
+def dump_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("dumps")
+
+
+class TestDumpProperties:
+    @PROPERTY
+    @given(data=dumpable)
+    def test_round_trip_is_exact(self, dump_dir, data):
+        path = dump_dir / "x.t4"
+        write_tensor(path, Tensor4(data))
+        y = read_tensor(path)
+        assert y.data.dtype == data.dtype
+        assert y.data.tobytes() == data.tobytes()
+
+    @settings(PROPERTY, max_examples=10)
+    @given(data=dumpable)
+    def test_every_truncated_prefix_names_the_file(self, dump_dir, data):
+        path = dump_dir / "full.t4"
+        write_tensor(path, Tensor4(data))
+        blob = path.read_bytes()
+        cut = dump_dir / "cut.t4"
+        for k in range(len(blob)):
+            cut.write_bytes(blob[:k])
+            with pytest.raises(TensorError) as exc:
+                read_tensor(cut)
+            assert str(cut) in str(exc.value)
+
+
+bad_extent = st.one_of(st.integers(max_value=0), st.booleans(),
+                       st.floats(allow_nan=False), st.text("12x", max_size=2),
+                       st.none())
+
+
+class TestShape4Properties:
+    @PROPERTY
+    @given(extents=st.lists(st.integers(1, 64), min_size=4, max_size=4),
+           at=st.integers(0, 3), bad=bad_extent)
+    def test_rejects_any_bad_extent(self, extents, at, bad):
+        extents[at] = bad
+        with pytest.raises(ShapeError):
+            Shape4(*extents)

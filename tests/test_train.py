@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from caggnet import train as train_mod
 from caggnet.autograd import Tape, backward
 from caggnet.models import ModelConfig, ParamStore, build_caggnet
 from caggnet.tensor_core import Tensor4, TensorError
@@ -206,17 +207,33 @@ class TestTrainLoop:
         assert len(log.rows) == 1
         assert math.isfinite(log.rows[0].train_loss)
 
+    @pytest.mark.parametrize("adam,patience,epochs_max,named", [
+        (dict(lr=0.0), 2, 1, "lr"),
+        (dict(lr=-1e-3), 2, 1, "lr"),
+        ({}, -1, 1, "patience"),
+        ({}, 2, 0, "epochs_max"),
+    ])
+    def test_bad_training_knob_rejected(self, rng, adam, patience, epochs_max,
+                                        named):
+        samples = make_dataset(rng, count=2)
+        with pytest.raises(ValueError, match=named):
+            train_loop(self.tiny_model(), samples, samples, make_loss("bce"),
+                       AdamState(**adam), EarlyStopper(patience=patience),
+                       epochs_max=epochs_max, batch_size=2)
+
     def test_empty_dataset_rejected(self):
         model = self.tiny_model()
         with pytest.raises(ValueError, match="non-empty"):
             train_loop(model, [], [], make_loss("bce"), AdamState(),
                        EarlyStopper(), epochs_max=1, batch_size=1)
 
-    def test_early_stop_breaks_loop(self, rng):
+    def test_early_stop_breaks_loop(self, rng, monkeypatch):
         samples = make_dataset(rng, count=2)
         model = self.tiny_model()
+        # frozen weights: only the batch-norm running stats move
+        monkeypatch.setattr(train_mod, "adam_step", lambda store, state: None)
         log = train_loop(model, samples, samples, make_loss("bce"),
-                         AdamState(lr=0.0), EarlyStopper(patience=2),
+                         AdamState(), EarlyStopper(patience=2),
                          epochs_max=50, batch_size=2, seed=0)
         # exactly patience+1 non-improving epochs follow the last best one
         assert log.stopped_early
