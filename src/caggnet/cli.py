@@ -201,8 +201,8 @@ def _load_split_dataset(cfg: dict):
 
 
 def cmd_train(args, cfg: dict) -> int:
-    from .train import (AdamState, EarlyStopper, TrainingDiverged, make_loss,
-                        train_loop)
+    from .train import (AdamState, EarlyStopper, TrainingDiverged, check_loop_args,
+                        make_loss, train_loop)
 
     train_set, val_set = _load_split_dataset(cfg)
     model = _build_model(cfg)
@@ -212,6 +212,8 @@ def cmd_train(args, cfg: dict) -> int:
     optim = AdamState(lr=cfg["optim"]["lr"], beta1=cfg["optim"]["beta1"],
                       beta2=cfg["optim"]["beta2"], eps=cfg["optim"]["eps"])
     stopper = EarlyStopper(patience=cfg["train"]["patience"])
+    check_loop_args(train_set, val_set, cfg["train"]["epochs_max"],
+                    cfg["train"]["batch_size"])
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -284,6 +284,10 @@ def save_dataset(directory, samples: list[Sample],
         fh.write("\n")
 
 
+def _is_id_list(ids) -> bool:
+    return isinstance(ids, list) and all(isinstance(i, str) for i in ids)
+
+
 def load_dataset(directory) -> tuple[list[Sample], dict]:
     """Load every sample named by the manifest, in manifest order."""
     directory = Path(directory)
@@ -293,13 +297,22 @@ def load_dataset(directory) -> tuple[list[Sample], dict]:
     manifest = read_manifest(manifest_path)
     if "ids" not in manifest:
         raise ValueError(f"dataset {directory}: {MANIFEST_NAME} has no 'ids'")
+    if not _is_id_list(manifest["ids"]):
+        raise ValueError(f"dataset {directory}: {MANIFEST_NAME} 'ids' must be "
+                         f"a list of strings")
     known = set(manifest["ids"])
     split = manifest.get("split", {"train": [], "val": []})
+    if not isinstance(split, dict):
+        raise ValueError(f"dataset {directory}: {MANIFEST_NAME} 'split' must be "
+                         f"an object")
     for part in ("train", "val"):
         if part not in split:
             raise ValueError(f"dataset {directory}: {MANIFEST_NAME} split has "
                              f"no {part!r} list")
     for part, ids in split.items():
+        if not _is_id_list(ids):
+            raise ValueError(f"dataset {directory}: {MANIFEST_NAME} split "
+                             f"{part!r} must be a list of strings")
         stray = [i for i in ids if i not in known]
         if stray:
             raise ValueError(f"dataset {directory}: split {part!r} names id "

@@ -7,8 +7,8 @@ Training, eval and one-off calls all go through these functions; eval
 runs them on a ``Tape(grad=False)``, which checks operands but keeps
 nothing.
 
-The convolution has one data layout, `_padded_flat`, for both dtypes and
-both directions. It spans the whole batch: channel-major, every image
+The convolution has one padding layout, `_padded_flat`, for both dtypes
+and both directions. It spans the whole batch: channel-major, every image
 padded, the images one after another on one flat axis, so each kernel
 tap over every output pixel of every image is one contiguous slice, and
 `_crop` turns it back into NCHW. Only the forward's inner loop depends
@@ -22,8 +22,16 @@ input channel: there a matmul would make one product per term in the
 same tap order, so the ordered loop gives the same bits without the
 per-call BLAS overhead. Each matmul covers the whole batch, and it
 computes every image's columns as a one-image call would, so a batch
-gives each image the bits it gets alone. The backward keeps no order:
-two BLAS matmuls per tap for both dtypes, each over the batch.
+gives each image the bits it gets alone.
+
+The backward keeps no order and has one rule for both dtypes: one im2col
+of the padded output gradient `g` (Chellapilla et al., 2006), whose
+k*k*c_out rows are g's padded layout shifted by each tap, over every
+input pixel of the batch. The input gradient is the flipped kernel times
+these columns, and the weight gradient is the columns times the
+channel-major input, so two BLAS matmuls replace two per tap. The
+columns are c_out deep, the narrow side of CAggNet's wide-in aggregation
+convs, and the input is never padded again.
 """
 
 from __future__ import annotations
@@ -135,11 +143,12 @@ def _padded_flat(x: np.ndarray, k: int):
     return xp.reshape(c, -1), hp, wp, ((n - 1) * hp + h - 1) * wp + wd, taps
 
 
-def _crop(flat: np.ndarray, shape, hp: int, wp: int, at: int = 0) -> np.ndarray:
-    """The NCHW `shape` copy of the window at row and column `at` of each
-    image in a channel-major `_padded_flat` array."""
+def _crop(flat: np.ndarray, shape, hp: int, wp: int) -> np.ndarray:
+    """The NCHW `shape` copy of the top-left h x w window of each image in
+    a channel-major (c, n*hp*wp) array: a `_padded_flat` layout, or with
+    hp = h and wp = w, a dense channel-major one."""
     n, c, h, wd = shape
-    a = flat.reshape(c, n, hp, wp)[:, :, at:at + h, at:at + wd]
+    a = flat.reshape(c, n, hp, wp)[:, :, :h, :wd]
     return np.ascontiguousarray(a.transpose(1, 0, 2, 3))
 
 
@@ -169,21 +178,22 @@ def conv2d(x: Var, weight: Var, bias: Var) -> Var:
 
 def _conv2d_bwd(node: TapeNode, g: np.ndarray):
     x, w = node.ctx
-    k = w.shape[2]
-    flat, hp, wp, span, taps = _padded_flat(x, k)
-    # g in the same layout, read from its first output pixel: the padding
-    # puts zeros on the junk columns, so they add nothing to gw and
-    # scatter nothing into gx
-    pad = (k - 1) // 2
-    start = pad * wp + pad
-    gq = _padded_flat(g, k)[0][:, start:start + span]
-    gflat = np.zeros_like(flat)
-    gw = np.empty_like(w)
-    for ki, kj, off in taps:
-        # (c_in, c_out) rather than gq @ flat.T: faster under OpenBLAS
-        gw[:, :, ki, kj] = np.matmul(flat[:, off:off + span], gq.T).T
-        gflat[:, off:off + span] += w[:, :, ki, kj].T @ gq
-    return _crop(gflat, x.shape, hp, wp, pad), gw, g.sum(axis=(0, 2, 3))
+    n, c_in, h, wd = x.shape
+    c_out, _, k, _ = w.shape
+    # im2col of the zero-padded g: block (ki, kj) of `cols` is g shifted
+    # by tap (ki, kj) of the flipped kernel, over every input pixel
+    gp, hp, wp = _padded_flat(g, k)[:3]
+    gp = gp.reshape(c_out, n, hp, wp)
+    cols = np.empty((k, k, c_out, n, h, wd), dtype=g.dtype)
+    for ki in range(k):
+        for kj in range(k):
+            cols[ki, kj] = gp[:, :, ki:ki + h, kj:kj + wd]
+    cols = cols.reshape(k * k * c_out, n * h * wd)
+    wf = w[:, :, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(c_in, -1)
+    gx = _crop(wf @ cols, x.shape, h, wd)
+    gw = cols @ x.transpose(1, 0, 2, 3).reshape(c_in, -1).T
+    gw = gw.reshape(k, k, c_out, c_in)[::-1, ::-1].transpose(2, 3, 0, 1)
+    return gx, np.ascontiguousarray(gw), g.sum(axis=(0, 2, 3))
 
 
 def _quads(a: np.ndarray):

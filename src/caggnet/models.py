@@ -19,7 +19,7 @@ per level to the last column and fuses bottom-up into a probability map.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -407,6 +407,9 @@ def forward(model, x: Tensor4, training: bool = False) -> ForwardPass:
 
 CHECKPOINT_MANIFEST = "manifest.json"
 CHECKPOINT_FORMAT = 1
+_PARAM_ENTRY_FIELDS = (("name", str), ("file", str), ("kind", str), ("dtype", str),
+                       ("shape", list))
+_JSON_NAME = {str: "string", int: "integer", dict: "object", list: "array"}
 
 
 def save_checkpoint(directory, model) -> None:
@@ -446,13 +449,21 @@ def load_checkpoint(directory):
     if manifest.get("format") != CHECKPOINT_FORMAT:
         raise ConfigError(f"checkpoint {directory} has format "
                           f"{manifest.get('format')!r}; expected {CHECKPOINT_FORMAT}")
-    for key in ("arch", "config", "params"):
+    for key, kind in (("arch", str), ("config", dict), ("params", list)):
         if key not in manifest:
             raise ConfigError(f"checkpoint {directory} manifest has no {key!r}")
-    unknown = sorted(set(manifest["config"]) - {f.name for f in fields(ModelConfig)})
+        if not isinstance(manifest[key], kind):
+            raise ConfigError(f"checkpoint {directory} manifest {key!r} must be "
+                              f"a JSON {_JSON_NAME[kind]}")
+    defaults = asdict(ModelConfig())
+    unknown = sorted(set(manifest["config"]) - set(defaults))
     if unknown:
         raise ConfigError(f"checkpoint {directory} config has unknown key(s) "
                           f"{', '.join(map(repr, unknown))}")
+    for key, value in manifest["config"].items():
+        if type(value) is not type(defaults[key]):
+            raise ConfigError(f"checkpoint {directory} config {key!r} must be "
+                              f"a JSON {_JSON_NAME[type(defaults[key])]}")
     cfg = ModelConfig(**manifest["config"])
     if manifest["arch"] == "caggnet":
         model = build_caggnet(cfg)
@@ -463,10 +474,16 @@ def load_checkpoint(directory):
                           f"{manifest['arch']!r}")
     values = {}
     for entry in manifest["params"]:
-        for key in ("name", "file", "kind", "dtype", "shape"):
+        if not isinstance(entry, dict):
+            raise ConfigError(f"checkpoint {directory} 'params' entries must be "
+                              f"JSON objects")
+        for key, kind in _PARAM_ENTRY_FIELDS:
             if key not in entry:
                 raise ConfigError(f"checkpoint {directory} has a parameter entry "
                                   f"with no {key!r}")
+            if not isinstance(entry[key], kind):
+                raise ConfigError(f"checkpoint {directory} parameter entry {key!r} "
+                                  f"must be a JSON {_JSON_NAME[kind]}")
         if entry["name"] not in model.params:
             raise ConfigError(f"checkpoint {directory} has unknown parameter "
                               f"{entry['name']!r}")

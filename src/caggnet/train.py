@@ -218,6 +218,18 @@ def make_loss(kind: str, *, alpha: float = 0.25, gamma: float = 2.0,
     raise ValueError(f"unknown loss kind {kind!r}")
 
 
+def check_loop_args(train_samples, val_samples, epochs_max: int,
+                    batch_size: int) -> None:
+    """Raise ValueError for the `train_loop` arguments it cannot run with,
+    so that a caller can check them before it writes anything."""
+    if len(train_samples) == 0 or len(val_samples) == 0:
+        raise ValueError("train and validation sets must both be non-empty")
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+    if epochs_max < 1:
+        raise ValueError(f"epochs_max must be >= 1, got {epochs_max}")
+
+
 def train_loop(model, train_samples, val_samples, loss_fn,
                optimizer: AdamState, stopper: EarlyStopper, epochs_max: int,
                batch_size: int, seed: int = 0, threshold: float = 0.5,
@@ -231,12 +243,7 @@ def train_loop(model, train_samples, val_samples, loss_fn,
     by early stopping, by reaching `stop_at_iou`, or by exhausting
     `epochs_max`.
     """
-    if len(train_samples) == 0 or len(val_samples) == 0:
-        raise ValueError("train and validation sets must both be non-empty")
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    if epochs_max < 1:
-        raise ValueError(f"epochs_max must be >= 1, got {epochs_max}")
+    check_loop_args(train_samples, val_samples, epochs_max, batch_size)
     rng = np.random.default_rng(seed)
     dtype = DTYPE_OF_TAG[model.cfg.dtype]
     log = TrainingLog()

@@ -25,12 +25,17 @@ def dataset(tmp_path):
 
 
 # dataset manifest corruptions: each makes train and eval exit 1 with a
-# message naming the dataset directory and the missing key or stray id
+# message naming the dataset directory and the missing or mistyped key or
+# the stray id
 DATASET_CORRUPTIONS = {
     "no-ids": (lambda m: m.pop("ids"), "'ids'"),
     "unknown-split-id": (lambda m: m["split"]["val"].append("ghost"), "ghost"),
     "no-train-split": (lambda m: m["split"].pop("train"), "'train'"),
     "no-val-split": (lambda m: m["split"].pop("val"), "'val'"),
+    "ids-not-a-list": (lambda m: m.update(ids=5), "'ids'"),
+    "id-not-a-string": (lambda m: m["ids"].append(5), "'ids'"),
+    "split-not-an-object": (lambda m: m.update(split=5), "'split'"),
+    "split-part-not-a-list": (lambda m: m["split"].update(val=5), "'val'"),
 }
 
 
@@ -191,6 +196,7 @@ class TestTrain:
         (["--patience", "-1"], {}, "patience"),
         ([], {"optim": {"lr": 0}}, "lr"),
         (["--lr", "-0.001"], {}, "lr"),
+        (["--batch-size", "0"], {}, "batch_size"),
     ])
     def test_bad_training_knob_exits_1_naming_it(self, dataset, tmp_path, capsys,
                                                  flags, config, named):
@@ -199,8 +205,8 @@ class TestTrain:
         assert main(["train", "--config", str(cfg), "--data", str(dataset),
                      "--out", str(tmp_path / "r")] + self.TRAIN_ARGS + flags) == 1
         assert named in capsys.readouterr().err
-        assert not (tmp_path / "r" / "train_log.csv").exists()
-        assert not (tmp_path / "r" / "checkpoint").exists()
+        # checked before anything is written: no output directory at all
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
     def test_malformed_dataset_manifest_exits_1_naming_it(self, dataset, tmp_path,
@@ -327,6 +333,14 @@ class TestEval:
                                  "'p0000.t4'"),
         "param-shape-mismatch": (lambda m: m["params"][0].update(shape=[99]),
                                  "'p0000.t4'"),
+        "arch-not-a-string": (lambda m: m.update(arch=5), "'arch'"),
+        "config-not-an-object": (lambda m: m.update(config=5), "'config'"),
+        "params-not-a-list": (lambda m: m.update(params=5), "'params'"),
+        "config-value-type": (lambda m: m["config"].update(levels="2"), "'levels'"),
+        "param-not-an-object": (lambda m: m["params"].__setitem__(0, 5), "'params'"),
+        **{f"param-{key}-type": (lambda m, key=key: m["params"][0].update({key: 5}),
+                                 repr(key))
+           for key in ("name", "file", "kind", "dtype", "shape")},
     }
 
     @pytest.mark.parametrize("case", sorted(CHECKPOINT_CORRUPTIONS))

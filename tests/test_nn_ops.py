@@ -173,6 +173,34 @@ class TestConv2d:
                 rel = np.max(np.abs(a - b)) / np.max(np.abs(b))
                 assert rel <= 1e-5, (name, n, c_in, c_out, h, w, k, rel)
 
+    @pytest.mark.parametrize("n,k", [(1, 1), (1, 3), (2, 1), (2, 3)])
+    def test_backward_matches_reference_adjoint(self, n, k):
+        # each gradient entry is <g, conv(e)> for the basis tensor e of its
+        # operand, convolved by the scalar-loop reference
+        rng = np.random.default_rng(11)
+        c_in, c_out, h, w = 2, 3, 3, 4
+        x = rng.normal(size=(n, c_in, h, w))
+        weight = rng.normal(size=(c_out, c_in, k, k))
+        g = rng.normal(size=(n, c_out, h, w))
+
+        def adjoint(operand, conv_of):
+            out = np.empty_like(operand)
+            for i in np.ndindex(operand.shape):
+                e = np.zeros_like(operand)
+                e[i] = 1.0
+                out[i] = np.vdot(g, conv2d_reference(*conv_of(e)).data)
+            return out
+
+        zero = np.zeros(c_out)
+        gx, gw, gb = F._conv2d_bwd(TapeNode("conv2d", (0, 1, 2), 3, (x, weight)), g)
+        ref = (adjoint(x, lambda e: (Tensor4(e), Conv2dParams(weight, zero))),
+               adjoint(weight, lambda e: (Tensor4(x), Conv2dParams(e, zero))),
+               adjoint(zero, lambda e: (Tensor4(np.zeros_like(x)),
+                                        Conv2dParams(np.zeros_like(weight), e))))
+        for name, a, b in zip(("gx", "gw", "gb"), (gx, gw, gb), ref):
+            assert a.shape == b.shape, name
+            assert np.max(np.abs(a - b)) <= 1e-12, name
+
     def test_double_precision_keeps_ordered_path(self, rng):
         # more than one input channel and a 3x3 kernel: the shape where a
         # reduction in any other order would round differently

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from caggnet import functional as F
-from caggnet.autograd import Tape
+from caggnet.autograd import RULES, Tape
 from caggnet.tensor_core import (
     Shape4,
     ShapeError,
@@ -305,3 +305,24 @@ class TestShape4Properties:
         extents[at] = bad
         with pytest.raises(ShapeError):
             Shape4(*extents)
+
+
+class TestConcatChannelsProperties:
+    @PROPERTY
+    @given(widths=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+           n=st.integers(1, 3), h=st.integers(1, 5), w=st.integers(1, 5),
+           dtype=st.sampled_from([np.float32, np.float64]))
+    def test_backward_split_reassembles_gradient(self, widths, n, h, w, dtype):
+        tape = Tape()
+        parts = [tape.leaf(np.full((n, c, h, w), k, dtype=dtype))
+                 for k, c in enumerate(widths)]
+        out = F.concat_channels(parts).value
+        assert out.shape == (n, sum(widths), h, w)
+        start = 0
+        for k, c in enumerate(widths):
+            assert np.all(out[:, start:start + c] == k)
+            start += c
+        g = np.arange(out.size, dtype=dtype).reshape(out.shape)
+        grads = RULES["concat_channels"](tape.nodes[-1], g)
+        assert [a.shape for a in grads] == [p.value.shape for p in parts]
+        assert np.concatenate(grads, axis=1).tobytes() == g.tobytes()
