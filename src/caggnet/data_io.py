@@ -27,7 +27,7 @@ from .tensor_core import Tensor4
 
 
 class NetpbmError(ValueError):
-    """Parse failure; the message carries the byte offset."""
+    """Parse failure; the message names the file and the byte offset."""
 
 
 @dataclass
@@ -110,7 +110,13 @@ def _parse_int(token: bytes, pos: int, what: str) -> int:
 
 def read_netpbm(path) -> Tensor4:
     """Read a binary P5/P6 file into a (1, 1|3, H, W) tensor scaled v/255."""
-    buf = Path(path).read_bytes()
+    try:
+        return _parse_netpbm(Path(path).read_bytes())
+    except NetpbmError as e:
+        raise NetpbmError(f"{path}: {e}") from None
+
+
+def _parse_netpbm(buf: bytes) -> Tensor4:
     magic, pos = _next_token(buf, 0)
     if magic == b"P5":
         channels = 1
@@ -122,6 +128,9 @@ def read_netpbm(path) -> Tensor4:
     width = _parse_int(tok, pos, "width")
     tok, pos = _next_token(buf, pos)
     height = _parse_int(tok, pos, "height")
+    if width < 1 or height < 1:
+        raise NetpbmError(f"extents {width}x{height} must be positive, ending at "
+                          f"byte {pos}")
     tok, pos = _next_token(buf, pos)
     maxval = _parse_int(tok, pos, "maxval")
     if maxval != 255:

@@ -19,6 +19,8 @@ per level to the last column and fuses bottom-up into a probability map.
 from __future__ import annotations
 
 import json
+import os
+import shutil
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -406,44 +408,48 @@ def forward(model, x: Tensor4, training: bool = False) -> ForwardPass:
 # --- checkpointing ----------------------------------------------------------
 
 CHECKPOINT_MANIFEST = "manifest.json"
-CHECKPOINT_FORMAT = 1
-_PARAM_ENTRY_FIELDS = (("name", str), ("file", str), ("kind", str), ("dtype", str),
-                       ("shape", list))
+CHECKPOINT_PARAMS = "params.t4"
+CHECKPOINT_FORMAT = 2
 _JSON_NAME = {str: "string", int: "integer", dict: "object", list: "array"}
 
 
 def save_checkpoint(directory, model) -> None:
-    """Write config plus every parameter/buffer as binary tensor dumps."""
+    """Write ``manifest.json`` (format, arch, config, parameter names) and
+    ``params.t4``, every parameter and buffer flattened into one
+    (1, 1, 1, N) dump in `ParamStore` construction order. The loader
+    splits the dump by that order: changing it must bump CHECKPOINT_FORMAT.
+
+    The files go into a fresh ``.<name>.tmp``; the old checkpoint is then
+    renamed to ``.<name>.old``, the new one renamed in and the old one
+    removed. A failure while writing leaves the previous checkpoint.
+    """
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for idx, (name, p) in enumerate(model.params.items()):
-        fname = f"p{idx:04d}.t4"
-        arr = p.value
-        kind = "vector" if arr.ndim == 1 else "tensor4"
-        as4 = arr.reshape(arr.shape[0], 1, 1, 1) if arr.ndim == 1 else arr
-        write_tensor(directory / fname, Tensor4(as4.copy()))
-        entries.append({
-            "name": name,
-            "kind": kind,
-            "shape": list(arr.shape),
-            "dtype": str(arr.dtype),
-            "trainable": p.trainable,
-            "file": fname,
-        })
-    manifest = {
-        "format": CHECKPOINT_FORMAT,
-        "arch": model.arch,
-        "config": asdict(model.cfg),
-        "params": entries,
-    }
-    with open(directory / CHECKPOINT_MANIFEST, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    tmp = directory.with_name(f".{directory.name}.tmp")
+    old = directory.with_name(f".{directory.name}.old")
+    for leftover in (tmp, old):
+        shutil.rmtree(leftover, ignore_errors=True)
+    tmp.mkdir(parents=True)
+    try:
+        flat = np.concatenate([p.value.reshape(-1) for _, p in model.params.items()])
+        write_tensor(tmp / CHECKPOINT_PARAMS, Tensor4(flat.reshape(1, 1, 1, -1)))
+        manifest = {"format": CHECKPOINT_FORMAT, "arch": model.arch,
+                    "config": asdict(model.cfg), "params": model.params.names()}
+        (tmp / CHECKPOINT_MANIFEST).write_text(
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    if directory.exists():
+        os.replace(directory, old)
+        os.replace(tmp, directory)
+        shutil.rmtree(old)
+    else:
+        os.replace(tmp, directory)
 
 
 def load_checkpoint(directory):
-    """Rebuild a model from a checkpoint directory."""
+    """Rebuild a model from a checkpoint directory; ``params.t4`` is split
+    by the rebuilt model's parameter sizes, in construction order."""
     directory = Path(directory)
     manifest = read_manifest(directory / CHECKPOINT_MANIFEST)
     if manifest.get("format") != CHECKPOINT_FORMAT:
@@ -472,31 +478,20 @@ def load_checkpoint(directory):
     else:
         raise ConfigError(f"checkpoint {directory} has unknown arch "
                           f"{manifest['arch']!r}")
-    values = {}
-    for entry in manifest["params"]:
-        if not isinstance(entry, dict):
-            raise ConfigError(f"checkpoint {directory} 'params' entries must be "
-                              f"JSON objects")
-        for key, kind in _PARAM_ENTRY_FIELDS:
-            if key not in entry:
-                raise ConfigError(f"checkpoint {directory} has a parameter entry "
-                                  f"with no {key!r}")
-            if not isinstance(entry[key], kind):
-                raise ConfigError(f"checkpoint {directory} parameter entry {key!r} "
-                                  f"must be a JSON {_JSON_NAME[kind]}")
-        if entry["name"] not in model.params:
-            raise ConfigError(f"checkpoint {directory} has unknown parameter "
-                              f"{entry['name']!r}")
-        arr = read_tensor(directory / entry["file"]).data
-        if entry["kind"] == "vector":
-            arr = arr.reshape(-1)
-        if (entry["dtype"], entry["shape"]) != (str(arr.dtype), list(arr.shape)):
-            raise ConfigError(f"checkpoint {directory} parameter {entry['name']!r} is "
-                              f"{entry['dtype']!r} {entry['shape']} in the manifest but "
-                              f"{arr.dtype} {list(arr.shape)} in {entry['file']!r}")
-        values[entry["name"]] = arr
-    missing = set(model.params.names()) - set(values)
-    if missing:
-        raise ConfigError(f"checkpoint missing parameters: {sorted(missing)}")
-    model.params.load_values(values)
+    listed, names = manifest["params"], model.params.names()
+    if listed != names:
+        at = next((i for i, (a, b) in enumerate(zip(listed, names)) if a != b),
+                  min(len(listed), len(names)))
+        got, want = (repr(x[at]) if at < len(x) else "no name" for x in (listed, names))
+        raise ConfigError(f"checkpoint {directory} manifest 'params' has {got} at "
+                          f"position {at}, where the {model.arch} model has {want}")
+    dump = read_tensor(directory / CHECKPOINT_PARAMS)
+    sizes = [p.value.size for _, p in model.params.items()]
+    if (dump.dtype_tag, dump.shape.count) != (cfg.dtype, sum(sizes)):
+        raise ConfigError(f"checkpoint {directory} {CHECKPOINT_PARAMS!r} holds "
+                          f"{dump.shape.count} {dump.dtype_tag} values; the model "
+                          f"has {sum(sizes)} {cfg.dtype}")
+    parts = np.split(dump.data.reshape(-1), np.cumsum(sizes)[:-1])
+    model.params.load_values({name: part.reshape(p.value.shape)
+                              for (name, p), part in zip(model.params.items(), parts)})
     return model

@@ -9,6 +9,7 @@ import pytest
 
 import caggnet
 from caggnet.cli import CliError, load_config, main
+from caggnet.tensor_core import Tensor4, read_tensor, write_tensor
 
 
 def checksum_tree(root: Path) -> dict[str, bytes]:
@@ -51,6 +52,22 @@ MALFORMED_MANIFESTS = {
     "single-quoted": "{'ids': []}",
     "not-an-object": "5",
 }
+
+
+# Netpbm corruptions of one dataset file: each must exit 1 naming the file
+NETPBM_CORRUPTIONS = {
+    "truncated-payload": lambda b: b[:-1],
+    "bad-magic": lambda b: b"P7" + b[2:],
+    "maxval-65535": lambda b: b.replace(b"\n255\n", b"\n65535\n", 1),
+}
+
+
+def corrupt_netpbm(dataset: Path, kind: str, case: str) -> Path:
+    """Corrupt the first sample's image or mask; return its path."""
+    sid = json.loads((dataset / "manifest.json").read_text())["ids"][0]
+    path = dataset / kind / f"{sid}.pgm"
+    path.write_bytes(NETPBM_CORRUPTIONS[case](path.read_bytes()))
+    return path
 
 
 class TestConfig:
@@ -218,6 +235,17 @@ class TestTrain:
         assert str(dataset / "manifest.json") in err and "Traceback" not in err
         assert not (tmp_path / "r" / "train_log.csv").exists()
 
+    @pytest.mark.parametrize("kind", ["images", "masks"])
+    @pytest.mark.parametrize("case", sorted(NETPBM_CORRUPTIONS))
+    def test_malformed_netpbm_exits_1_naming_it(self, dataset, tmp_path, capsys,
+                                                kind, case):
+        path = corrupt_netpbm(dataset, kind, case)
+        assert main(["train", "--data", str(dataset),
+                     "--out", str(tmp_path / "r")] + self.TRAIN_ARGS) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
+        assert not (tmp_path / "r" / "train_log.csv").exists()
+
     def test_deterministic_reruns(self, dataset, tmp_path):
         outs = []
         for name in ("r1", "r2"):
@@ -289,7 +317,7 @@ class TestEval:
     def test_unknown_checkpoint_parameter_exits_1(self, dataset, tmp_path, capsys):
         ckpt = self.fresh_checkpoint(tmp_path)
         manifest = json.loads((ckpt / "manifest.json").read_text())
-        manifest["params"].append(dict(manifest["params"][0], name="stray.weight"))
+        manifest["params"].append("stray.weight")
         (ckpt / "manifest.json").write_text(json.dumps(manifest))
         assert main(["eval", "--checkpoint", str(ckpt), "--data", str(dataset),
                      "--out", str(tmp_path / "e")]) == 1
@@ -325,22 +353,18 @@ class TestEval:
         "no-params": (lambda m: m.pop("params"), "'params'"),
         "unknown-config-key": (lambda m: m["config"].update(depth=3), "'depth'"),
         "unknown-arch": (lambda m: m.update(arch="resnet"), "'resnet'"),
-        **{f"param-no-{key}": (lambda m, key=key: m["params"][0].pop(key), repr(key))
-           for key in ("name", "file", "kind", "dtype", "shape")},
-        "param-bad-dtype": (lambda m: m["params"][0].update(dtype="float99"),
-                            "'float99'"),
-        "param-dtype-mismatch": (lambda m: m["params"][0].update(dtype="float64"),
-                                 "'p0000.t4'"),
-        "param-shape-mismatch": (lambda m: m["params"][0].update(shape=[99]),
-                                 "'p0000.t4'"),
         "arch-not-a-string": (lambda m: m.update(arch=5), "'arch'"),
         "config-not-an-object": (lambda m: m.update(config=5), "'config'"),
         "params-not-a-list": (lambda m: m.update(params=5), "'params'"),
         "config-value-type": (lambda m: m["config"].update(levels="2"), "'levels'"),
         "param-not-an-object": (lambda m: m["params"].__setitem__(0, 5), "'params'"),
-        **{f"param-{key}-type": (lambda m, key=key: m["params"][0].update({key: 5}),
-                                 repr(key))
-           for key in ("name", "file", "kind", "dtype", "shape")},
+        "stray-name": (lambda m: m["params"].append("stray.weight"),
+                       "'stray.weight'"),
+        "missing-name": (lambda m: m["params"].pop(1), "'enc0.conv1.bias'"),
+        "reordered-names": (lambda m: m["params"].reverse(), "position 0"),
+        "name-not-a-string": (lambda m: m["params"].__setitem__(
+            0, {"name": m["params"][0]}), "position 0"),
+        "format-1": (lambda m: m.update(format=1), "format 1"),
     }
 
     @pytest.mark.parametrize("case", sorted(CHECKPOINT_CORRUPTIONS))
@@ -352,6 +376,27 @@ class TestEval:
                      "--out", str(tmp_path / "e")]) == 1
         err = capsys.readouterr().err
         assert str(ckpt) in err and named in err
+        assert not (tmp_path / "e" / "metrics.csv").exists()
+
+    # corruptions of the parameter dump of a single-precision checkpoint:
+    # each must exit 1 naming the dump
+    DUMP_CORRUPTIONS = {
+        "missing": lambda path: path.unlink(),
+        "truncated": lambda path: path.write_bytes(path.read_bytes()[:-3]),
+        "float64": lambda path: write_tensor(
+            path, Tensor4(read_tensor(path).data.astype(np.float64))),
+        "extra-value": lambda path: write_tensor(
+            path, Tensor4(np.append(read_tensor(path).data, 0).reshape(1, 1, 1, -1))),
+    }
+
+    @pytest.mark.parametrize("case", sorted(DUMP_CORRUPTIONS))
+    def test_bad_checkpoint_dump_exits_1(self, dataset, tmp_path, capsys, case):
+        ckpt = self.fresh_checkpoint(tmp_path)
+        self.DUMP_CORRUPTIONS[case](ckpt / "params.t4")
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(dataset),
+                     "--out", str(tmp_path / "e")]) == 1
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "params.t4" in err and "Traceback" not in err
         assert not (tmp_path / "e" / "metrics.csv").exists()
 
     @pytest.mark.parametrize("case", sorted(DATASET_CORRUPTIONS))
@@ -374,6 +419,18 @@ class TestEval:
                      "--out", str(tmp_path / "e")]) == 1
         err = capsys.readouterr().err
         assert str(ckpt / "manifest.json") in err and "Traceback" not in err
+        assert not (tmp_path / "e" / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("kind", ["images", "masks"])
+    @pytest.mark.parametrize("case", sorted(NETPBM_CORRUPTIONS))
+    def test_malformed_netpbm_exits_1_naming_it(self, dataset, tmp_path, capsys,
+                                                kind, case):
+        ckpt = self.fresh_checkpoint(tmp_path)
+        path = corrupt_netpbm(dataset, kind, case)
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(dataset),
+                     "--out", str(tmp_path / "e")]) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
         assert not (tmp_path / "e" / "metrics.csv").exists()
 
     def test_missing_checkpoint_exits_1(self, dataset, tmp_path):

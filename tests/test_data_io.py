@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caggnet import functional as F
 from caggnet.autograd import Tape
@@ -67,6 +69,13 @@ class TestReadNetpbm:
         with pytest.raises(NetpbmError, match="truncated payload at byte 14"):
             read_netpbm(path)
 
+    def test_zero_extent_names_the_file(self, tmp_path):
+        path = tmp_path / "z.pgm"
+        path.write_bytes(b"P5\n0 2\n255\n")
+        with pytest.raises(NetpbmError, match="extents 0x2") as exc:
+            read_netpbm(path)
+        assert str(path) in str(exc.value)
+
     def test_header_comments_skipped(self, tmp_path):
         path = tmp_path / "c.pgm"
         path.write_bytes(b"P5\n# a comment\n2 1\n# another\n255\n" + bytes([7, 9]))
@@ -89,6 +98,61 @@ class TestReadNetpbm:
         path.write_bytes(b"P5\n4 1\n255\n" + bytes([0, 127, 128, 255]))
         mask = read_mask(path)
         assert np.array_equal(mask.data.reshape(4), [0.0, 0.0, 1.0, 1.0])
+
+
+# Netpbm header properties: derandomized, so a run is reproducible, with a
+# small example budget, since each example writes and parses files.
+PROPERTY = settings(derandomize=True, database=None, max_examples=30,
+                    deadline=None)
+
+_ws = st.sampled_from([bytes([b]) for b in b" \t\r\n\x0b\x0c"])
+_comment = st.binary(max_size=6).map(lambda b: b"#" + b.replace(b"\n", b"") + b"\n")
+# between header tokens: at least one whitespace byte, then any run of
+# whitespace and comments
+_sep = st.builds(lambda first, rest: first + b"".join(rest),
+                 _ws, st.lists(st.one_of(_ws, _comment), max_size=3))
+
+
+@st.composite
+def netpbm_files(draw):
+    """(canonical file, same image with a drawn header layout)."""
+    channels = draw(st.sampled_from([1, 3]))
+    h, w = draw(st.integers(1, 3)), draw(st.integers(1, 12))
+    payload = draw(st.binary(min_size=h * w * channels, max_size=h * w * channels))
+    magic = b"P5" if channels == 1 else b"P6"
+    canonical = magic + b"\n%d %d\n255\n" % (w, h) + payload
+    seps = [draw(_sep) for _ in range(3)]
+    layout = (magic + seps[0] + b"%d" % w + seps[1] + b"%d" % h + seps[2]
+              + b"255" + draw(_ws) + payload)
+    return canonical, layout
+
+
+@pytest.fixture(scope="module")
+def pbm_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("netpbm")
+
+
+class TestNetpbmHeaderProperties:
+    @PROPERTY
+    @given(files=netpbm_files())
+    def test_any_header_layout_parses_the_same(self, pbm_dir, files):
+        canonical, layout = files
+        (pbm_dir / "a.pgm").write_bytes(canonical)
+        (pbm_dir / "b.pgm").write_bytes(layout)
+        a, b = read_netpbm(pbm_dir / "a.pgm"), read_netpbm(pbm_dir / "b.pgm")
+        assert a.data.shape == b.data.shape
+        assert a.data.tobytes() == b.data.tobytes()
+
+    @settings(PROPERTY, max_examples=10)
+    @given(files=netpbm_files())
+    def test_every_truncated_prefix_names_the_file(self, pbm_dir, files):
+        _, layout = files
+        cut = pbm_dir / "cut.pgm"
+        for k in range(len(layout)):
+            cut.write_bytes(layout[:k])
+            with pytest.raises(NetpbmError) as exc:
+                read_netpbm(cut)
+            assert str(cut) in str(exc.value)
 
 
 class TestResizeNearest:

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -265,4 +267,68 @@ class TestCheckpoint:
         save_checkpoint(tmp_path / "ckpt", model)
         with open(tmp_path / "ckpt" / "manifest.json") as fh:
             manifest = json.load(fh)
-        assert [e["name"] for e in manifest["params"]] == model.params.names()
+        assert manifest["params"] == model.params.names()
+
+    @pytest.mark.parametrize("build", [build_caggnet, build_unet])
+    @pytest.mark.parametrize("dtype", ["single", "double"])
+    def test_round_trip_bitwise_per_arch_and_dtype(self, tmp_path, rng, build, dtype):
+        model = build(ModelConfig(levels=2, columns=1, base_channels=2, seed=3,
+                                  dtype=dtype))
+        for _, p in model.params.items():
+            p.value += (rng.normal(size=p.value.shape) * 0.01).astype(p.value.dtype)
+        save_checkpoint(tmp_path / "ckpt", model)
+        loaded = load_checkpoint(tmp_path / "ckpt")
+        assert (loaded.arch, loaded.cfg) == (model.arch, model.cfg)
+        assert loaded.params.names() == model.params.names()
+        for (_, p1), (_, p2) in zip(model.params.items(), loaded.params.items()):
+            assert (p1.value.dtype, p1.value.shape) == (p2.value.dtype, p2.value.shape)
+            assert p1.value.tobytes() == p2.value.tobytes()
+
+    def test_directory_holds_manifest_and_one_dump(self, tmp_path, tiny_cfg):
+        model = build_caggnet(tiny_cfg)
+        save_checkpoint(tmp_path / "ckpt", model)
+        save_checkpoint(tmp_path / "ckpt", model)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt"]
+        assert sorted(p.name for p in (tmp_path / "ckpt").iterdir()) == \
+            ["manifest.json", "params.t4"]
+
+    def test_save_replaces_an_older_directory(self, tmp_path, tiny_cfg):
+        # a format-1 checkpoint held one p####.t4 dump per parameter
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        for name in ("manifest.json", "p0000.t4", "p0001.t4", "p0200.t4"):
+            (ckpt / name).write_bytes(b"old")
+        model = build_caggnet(tiny_cfg)
+        save_checkpoint(ckpt, model)
+        assert sorted(p.name for p in ckpt.iterdir()) == ["manifest.json", "params.t4"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt"]
+        assert load_checkpoint(ckpt).params.names() == model.params.names()
+
+    def test_failed_write_leaves_previous_checkpoint(self, tmp_path, tiny_cfg,
+                                                     monkeypatch):
+        ckpt = tmp_path / "ckpt"
+        first = build_caggnet(tiny_cfg)
+        save_checkpoint(ckpt, first)
+        before = {p.name: p.read_bytes() for p in ckpt.iterdir()}
+
+        def broken_write(path, x):
+            Path(path).write_bytes(b"half")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(models, "write_tensor", broken_write)
+        second = build_unet(ModelConfig(levels=2, base_channels=2, seed=9))
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(ckpt, second)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt"]
+        assert {p.name: p.read_bytes() for p in ckpt.iterdir()} == before
+        loaded = load_checkpoint(ckpt)
+        for (_, p1), (_, p2) in zip(first.params.items(), loaded.params.items()):
+            assert p1.value.tobytes() == p2.value.tobytes()
+
+    def test_leftover_siblings_are_cleared(self, tmp_path, tiny_cfg):
+        # what a save cut off by a crash leaves behind
+        for name in (".ckpt.tmp", ".ckpt.old"):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "params.t4").write_bytes(b"stale")
+        save_checkpoint(tmp_path / "ckpt", build_caggnet(tiny_cfg))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt"]
