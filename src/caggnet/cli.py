@@ -29,7 +29,6 @@ DEFAULT_CONFIG = {
         "columns": 2,
         "base_channels": 8,
         "in_channels": 1,
-        "upsample_mode": "nearest2",
         "wab_reduction": 2,
     },
     "loss": {
@@ -171,7 +170,6 @@ def _build_model(cfg: dict):
         columns=m["columns"],
         base_channels=m["base_channels"],
         in_channels=m["in_channels"],
-        upsample_mode=m["upsample_mode"],
         wab_reduction=m["wab_reduction"],
         seed=cfg["seed"],
         dtype="single",
@@ -201,6 +199,7 @@ def _load_split_dataset(cfg: dict):
 
 
 def cmd_train(args, cfg: dict) -> int:
+    from .data_io import write_atomic
     from .train import (AdamState, EarlyStopper, TrainingDiverged, check_loop_args,
                         make_loss, train_loop)
 
@@ -232,9 +231,7 @@ def cmd_train(args, cfg: dict) -> int:
 
     log.write_csv(out_dir / "train_log.csv")
     log.write_timing_csv(out_dir / "timing.csv")
-    with open(out_dir / "config.json", "w") as fh:
-        json.dump(cfg, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_atomic(out_dir / "config.json", json.dumps(cfg, indent=2, sort_keys=True) + "\n")
     best = log.best_val_iou
     print(f"trained {len(log.rows)} epochs; best val IoU {best:.4f} "
           f"at epoch {log.best_epoch}")

@@ -18,6 +18,7 @@ real segmentation data.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -179,21 +180,6 @@ def read_mask(path) -> Tensor4:
     return Tensor4((np.rint(raw.data * 255.0) > 127).astype(np.float64))
 
 
-# --- resizing ----------------------------------------------------------------
-
-def resize_nearest(img: Tensor4, new_h: int, new_w: int) -> Tensor4:
-    """Nearest-neighbor resize; source index is floor(i * H / new_h).
-
-    Binary masks stay binary (pixels are only copied, never blended).
-    """
-    if new_h < 1 or new_w < 1:
-        raise ValueError("target extents must be positive")
-    h, w = img.h, img.w
-    rows = (np.arange(new_h) * h) // new_h
-    cols = (np.arange(new_w) * w) // new_w
-    return Tensor4(np.ascontiguousarray(img.data[:, :, rows[:, None], cols[None, :]]))
-
-
 # --- synthetic data ----------------------------------------------------------
 
 def gen_synthetic(cfg: SynthConfig) -> list[Sample]:
@@ -262,6 +248,19 @@ def split(samples: list[Sample], train_fraction: float,
 MANIFEST_NAME = "manifest.json"
 
 
+def write_atomic(path, text: str) -> None:
+    """Write `text` to a sibling ``.<name>.tmp`` and rename it over `path`,
+    so that a failed write leaves the previous file, never a partial one."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def read_manifest(path) -> dict:
     """Parse a dataset or checkpoint manifest. Malformed JSON re-raises
     `json.JSONDecodeError`, and any other top-level value a ValueError,
@@ -288,9 +287,8 @@ def save_dataset(directory, samples: list[Sample],
     manifest = {"ids": [s.id for s in samples]}
     if split_ids is not None:
         manifest["split"] = split_ids
-    with open(directory / MANIFEST_NAME, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_atomic(directory / MANIFEST_NAME,
+                 json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _is_id_list(ids) -> bool:

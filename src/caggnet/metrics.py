@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data_io import batch_arrays
+from .data_io import batch_arrays, write_atomic
 from .tensor_core import DTYPE_OF_TAG, ShapeError, Tensor4, TensorError
 
 
@@ -101,14 +101,13 @@ class MetricsReport:
     threshold: float = 0.5
 
     def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("id,pr,se,iou,f1\n")
-            for m in self.per_image:
-                fh.write(f"{m.id},{m.pr!r},{m.se!r},{m.iou!r},{m.f1!r}\n")
-            mean_pr = float(np.mean([m.pr for m in self.per_image]))
-            mean_se = float(np.mean([m.se for m in self.per_image]))
-            fh.write(f"mean,{mean_pr!r},{mean_se!r},{self.mean_iou!r},{self.mean_f1!r}\n")
-            fh.write(f"pooled,,,{self.pooled_iou!r},{self.pooled_f1!r}\n")
+        mean_pr = float(np.mean([m.pr for m in self.per_image]))
+        mean_se = float(np.mean([m.se for m in self.per_image]))
+        write_atomic(path, "".join(
+            ["id,pr,se,iou,f1\n"]
+            + [f"{m.id},{m.pr!r},{m.se!r},{m.iou!r},{m.f1!r}\n" for m in self.per_image]
+            + [f"mean,{mean_pr!r},{mean_se!r},{self.mean_iou!r},{self.mean_f1!r}\n",
+               f"pooled,,,{self.pooled_iou!r},{self.pooled_f1!r}\n"]))
 
     def to_dict(self) -> dict:
         return {
@@ -123,9 +122,7 @@ class MetricsReport:
         }
 
     def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_atomic(path, json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
 def summarize(ids: list[str], counts: list[ConfusionCounts],

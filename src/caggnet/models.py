@@ -52,7 +52,6 @@ class ModelConfig:
     columns: int = 3
     base_channels: int = 8
     in_channels: int = 1
-    upsample_mode: str = "nearest2"
     wab_reduction: int = 2
     seed: int = 0
     dtype: str = "single"
@@ -66,8 +65,6 @@ class ModelConfig:
             raise ConfigError("base_channels must be >= 1")
         if self.in_channels not in (1, 3):
             raise ConfigError(f"in_channels must be 1 or 3, got {self.in_channels}")
-        if self.upsample_mode != "nearest2":
-            raise ConfigError(f"unsupported upsample_mode {self.upsample_mode!r}")
         if self.wab_reduction < 1 or self.base_channels % self.wab_reduction:
             raise ConfigError(
                 f"wab_reduction {self.wab_reduction} must divide "
@@ -82,23 +79,21 @@ class ModelConfig:
 
 @dataclass
 class Param:
-    """One named array in the store, with gradient and Adam moments."""
+    """One named array in the store; ``trainable=False`` marks a buffer."""
 
     value: np.ndarray
-    grad: np.ndarray
-    adam_m: np.ndarray
-    adam_v: np.ndarray
     trainable: bool = True
 
 
 class ParamStore:
     """Ordered map of named parameter arrays.
 
-    Learnable tensors carry gradient and Adam moment buffers; buffers
-    such as batch-norm running statistics are stored with
+    Buffers such as batch-norm running statistics are stored with
     ``trainable=False`` so checkpoints capture the full model state.
     Values are mutable and aliased by the model blocks, so in-place
-    optimizer updates are immediately visible to the forward pass.
+    optimizer updates are immediately visible to the forward pass. The
+    store holds no optimizer state: `train.AdamState` owns the moments,
+    flat over the trainable parameters in construction order.
     """
 
     def __init__(self):
@@ -107,13 +102,7 @@ class ParamStore:
     def add(self, name: str, value: np.ndarray, trainable: bool = True) -> np.ndarray:
         if name in self._params:
             raise ConfigError(f"duplicate parameter name {name!r}")
-        self._params[name] = Param(
-            value=value,
-            grad=np.zeros_like(value),
-            adam_m=np.zeros_like(value),
-            adam_v=np.zeros_like(value),
-            trainable=trainable,
-        )
+        self._params[name] = Param(value=value, trainable=trainable)
         return value
 
     def __getitem__(self, name: str) -> Param:
@@ -137,19 +126,26 @@ class ParamStore:
                 yield name, p.value
 
     def trainable_count(self) -> int:
-        return sum(p.value.size for _, p in self._params.items() if p.trainable)
+        return sum(value.size for _, value in self.named_trainable())
 
-    def apply_grads(self, tape: Tape, grads: dict[int, np.ndarray]) -> None:
-        """Copy tape gradients into the per-parameter grad buffers.
+    def flat_slices(self):
+        """Yield (name, value, slice) per trainable parameter; the slice
+        locates it in the flat order of `apply_grads`."""
+        start = 0
+        for name, value in self.named_trainable():
+            yield name, value, slice(start, start + value.size)
+            start += value.size
 
-        Parameters that never reached the loss keep a zero gradient.
-        """
-        for _, p in self._params.items():
-            if not p.trainable:
-                continue
-            tid = tape.leaf_id_for(p.value)
-            g = grads.get(tid) if tid is not None else None
-            p.grad[...] = 0 if g is None else g
+    def apply_grads(self, tape: Tape, grads: dict[int, np.ndarray]) -> np.ndarray:
+        """Gather the tape's gradients into one flat array over the
+        trainable parameters, in construction order, in the parameters'
+        dtype. A parameter that never reached the loss gets zeros."""
+        dtype = next((value.dtype for _, value in self.named_trainable()), np.float64)
+        flat = np.empty(self.trainable_count(), dtype=dtype)
+        for _, value, where in self.flat_slices():
+            g = grads.get(tape.leaf_id_for(value))
+            flat[where] = 0 if g is None else g.reshape(-1)
+        return flat
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {name: p.value.copy() for name, p in self._params.items()}
@@ -409,7 +405,7 @@ def forward(model, x: Tensor4, training: bool = False) -> ForwardPass:
 
 CHECKPOINT_MANIFEST = "manifest.json"
 CHECKPOINT_PARAMS = "params.t4"
-CHECKPOINT_FORMAT = 2
+CHECKPOINT_FORMAT = 3
 _JSON_NAME = {str: "string", int: "integer", dict: "object", list: "array"}
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autograd import TapeNode, Var, backward, register_backward
-from .data_io import batch_arrays
+from .data_io import batch_arrays, write_atomic
 from .metrics import evaluate_model
 from .models import ParamStore, forward, save_checkpoint
 from .tensor_core import DTYPE_OF_TAG, ShapeError, TensorError
@@ -115,38 +115,48 @@ register_backward("focal_loss", _focal_loss_bwd)
 
 @dataclass
 class AdamState:
+    """Adam's hyperparameters and state. The moments `m` and `v` are flat
+    over the trainable parameters in `ParamStore` construction order and
+    are allocated on the first step."""
+
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     t: int = 0
+    m: np.ndarray | None = field(default=None, repr=False, compare=False)
+    v: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.lr <= 0:
             raise ValueError(f"lr must be > 0, got {self.lr}")
 
 
-def adam_step(store: ParamStore, state: AdamState) -> None:
-    """One bias-corrected Adam update, in place; gradients are zeroed
-    afterwards. Aborts on a non-finite gradient, naming the parameter."""
+def adam_step(store: ParamStore, state: AdamState, grad: np.ndarray) -> None:
+    """One bias-corrected Adam update of every trainable parameter, in
+    place, from the flat gradient of `ParamStore.apply_grads`. A
+    non-finite gradient aborts before anything changes, naming the first
+    parameter that holds one."""
+    if grad.shape != (store.trainable_count(),):
+        raise ShapeError(f"flat gradient has shape {grad.shape}; the store has "
+                         f"{store.trainable_count()} trainable values")
+    if not np.isfinite(grad).all():
+        name = next(name for name, _, where in store.flat_slices()
+                    if not np.isfinite(grad[where]).all())
+        raise TrainingDiverged(f"non-finite gradient for parameter {name!r}")
+    if state.m is None:
+        state.m, state.v = np.zeros_like(grad), np.zeros_like(grad)
     state.t += 1
     b1, b2 = state.beta1, state.beta2
-    c1 = 1.0 - b1 ** state.t
-    c2 = 1.0 - b2 ** state.t
-    for name, p in store.items():
-        if not p.trainable:
-            continue
-        g = p.grad
-        if not np.isfinite(g).all():
-            raise TrainingDiverged(f"non-finite gradient for parameter {name!r}")
-        p.adam_m *= b1
-        p.adam_m += (1.0 - b1) * g
-        p.adam_v *= b2
-        p.adam_v += (1.0 - b2) * g * g
-        m_hat = p.adam_m / c1
-        v_hat = p.adam_v / c2
-        p.value -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-        p.grad[...] = 0
+    state.m *= b1
+    state.m += (1.0 - b1) * grad
+    state.v *= b2
+    state.v += (1.0 - b2) * grad * grad
+    m_hat = state.m / (1.0 - b1 ** state.t)
+    v_hat = state.v / (1.0 - b2 ** state.t)
+    update = state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    for _, value, where in store.flat_slices():
+        value -= update[where].reshape(value.shape)
 
 
 @dataclass
@@ -194,16 +204,14 @@ class TrainingLog:
     def write_csv(self, path) -> None:
         # wall-clock timing goes to a sidecar so this file is
         # byte-reproducible across identical runs
-        with open(path, "w") as fh:
-            fh.write("epoch,train_loss,val_iou,val_f1\n")
-            for r in self.rows:
-                fh.write(f"{r.epoch},{r.train_loss!r},{r.val_iou!r},{r.val_f1!r}\n")
+        write_atomic(path, "".join(
+            ["epoch,train_loss,val_iou,val_f1\n"]
+            + [f"{r.epoch},{r.train_loss!r},{r.val_iou!r},{r.val_f1!r}\n" for r in self.rows]))
 
     def write_timing_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("epoch,seconds\n")
-            for r, s in zip(self.rows, self.seconds):
-                fh.write(f"{r.epoch},{s:.3f}\n")
+        write_atomic(path, "".join(
+            ["epoch,seconds\n"]
+            + [f"{r.epoch},{s:.3f}\n" for r, s in zip(self.rows, self.seconds)]))
 
 
 def make_loss(kind: str, *, alpha: float = 0.25, gamma: float = 2.0,
@@ -265,9 +273,8 @@ def train_loop(model, train_samples, val_samples, loss_fn,
             loss = float(loss_var.value.reshape(()))
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"loss became {loss} at epoch {epoch}")
-            grads = backward(fp.tape, loss_var)
-            model.params.apply_grads(fp.tape, grads)
-            adam_step(model.params, optimizer)
+            grad = model.params.apply_grads(fp.tape, backward(fp.tape, loss_var))
+            adam_step(model.params, optimizer, grad)
             losses.append(loss)
 
         try:

@@ -365,6 +365,7 @@ class TestEval:
         "name-not-a-string": (lambda m: m["params"].__setitem__(
             0, {"name": m["params"][0]}), "position 0"),
         "format-1": (lambda m: m.update(format=1), "format 1"),
+        "format-2": (lambda m: m.update(format=2), "format 2"),
     }
 
     @pytest.mark.parametrize("case", sorted(CHECKPOINT_CORRUPTIONS))

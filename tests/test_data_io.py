@@ -1,10 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caggnet import functional as F
-from caggnet.autograd import Tape
 from caggnet.data_io import (
     NetpbmError,
     Sample,
@@ -13,10 +13,10 @@ from caggnet.data_io import (
     load_dataset,
     read_mask,
     read_netpbm,
-    resize_nearest,
     save_dataset,
     split,
     split_from_manifest,
+    write_atomic,
     write_netpbm,
 )
 from caggnet.tensor_core import Tensor4
@@ -155,29 +155,6 @@ class TestNetpbmHeaderProperties:
             assert str(cut) in str(exc.value)
 
 
-class TestResizeNearest:
-    def test_identity(self, rng):
-        img = Tensor4(rng.uniform(0, 1, size=(1, 1, 4, 6)))
-        assert np.array_equal(resize_nearest(img, 4, 6).data, img.data)
-
-    def test_upscale_matches_upsample_nearest2(self, rng):
-        img = Tensor4(rng.uniform(0, 1, size=(1, 2, 3, 3)))
-        via_resize = resize_nearest(img, 6, 6)
-        via_op = F.upsample_nearest2(Tape(grad=False).leaf(img))
-        assert np.array_equal(via_resize.data, via_op.value)
-
-    def test_downscale_index_map(self):
-        img = Tensor4(np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4))
-        out = resize_nearest(img, 2, 2)
-        # floor(i * 4 / 2) picks source rows/cols 0 and 2
-        assert np.array_equal(out.data[0, 0], [[0.0, 2.0], [8.0, 10.0]])
-
-    def test_masks_stay_binary(self, rng):
-        mask = Tensor4((rng.random((1, 1, 8, 8)) < 0.3).astype(np.float64))
-        out = resize_nearest(mask, 5, 11)
-        assert np.all((out.data == 0) | (out.data == 1))
-
-
 class TestGenSynthetic:
     def test_noise_free_single_blob_is_exact_disk(self):
         cfg = SynthConfig(count=1, size=32, blobs_min=1, blobs_max=1,
@@ -273,3 +250,39 @@ class TestDatasetDirectory:
         with pytest.raises(ValueError, match="mask"):
             Sample(image=Tensor4(rng.uniform(0, 1, (1, 1, 4, 4))),
                    mask=Tensor4(rng.uniform(0, 1, (1, 1, 4, 4))), id="x")
+
+
+def write_half_then_fail(self, text):
+    """Stands in for `Path.write_text`: the disk fills halfway through."""
+    with open(self, "w") as fh:
+        fh.write(text[:len(text) // 2])
+    raise OSError("No space left on device")
+
+
+class TestWriteAtomic:
+    def test_replaces_the_whole_file(self, tmp_path):
+        target = tmp_path / "log.csv"
+        target.write_text("x" * 100)
+        write_atomic(target, "epoch\n")
+        assert target.read_text() == "epoch\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["log.csv"]
+
+    def test_failed_write_leaves_the_previous_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "log.csv"
+        target.write_text("previous\n")
+        monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+        with pytest.raises(OSError, match="No space"):
+            write_atomic(target, "epoch,train_loss\n" * 10)
+        assert target.read_text() == "previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["log.csv"]
+
+    def test_failed_manifest_write_keeps_the_previous_manifest(self, tmp_path,
+                                                               monkeypatch):
+        samples = gen_synthetic(SynthConfig(count=2, size=16, seed=8))
+        save_dataset(tmp_path, samples)
+        before = (tmp_path / "manifest.json").read_bytes()
+        monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+        with pytest.raises(OSError):
+            save_dataset(tmp_path, samples, {"train": ["a"], "val": ["b"]})
+        assert (tmp_path / "manifest.json").read_bytes() == before
+        assert not (tmp_path / ".manifest.json.tmp").exists()
