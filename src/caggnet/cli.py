@@ -285,6 +285,7 @@ def cmd_eval(args, cfg: dict) -> int:
 
 def cmd_gradcheck(args, cfg: dict) -> int:
     from . import autograd, gradcheck
+    from .data_io import write_atomic
 
     scopes = ["ops", "blocks", "model"] if args.scope == "all" else [args.scope]
     restore = None
@@ -316,9 +317,8 @@ def cmd_gradcheck(args, cfg: dict) -> int:
         print(f"{r.op:<{width}}  max_rel_err={r.max_rel_err:.3e}  "
               f"worst={coord}  {status}")
     if args.json_out:
-        with open(args.json_out, "w") as fh:
-            json.dump([json.loads(r.to_json()) for r in reports], fh, indent=2)
-            fh.write("\n")
+        write_atomic(args.json_out, json.dumps(
+            [json.loads(r.to_json()) for r in reports], indent=2) + "\n")
     return 0 if all(r.passed for r in reports) else 1
 
 

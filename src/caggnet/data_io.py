@@ -167,9 +167,7 @@ def write_netpbm(path, img: Tensor4) -> None:
         payload = bytes_[0, 0].tobytes()
     else:
         payload = bytes_[0].transpose(1, 2, 0).tobytes()
-    with open(path, "wb") as fh:
-        fh.write(magic + b"\n%d %d\n255\n" % (img.w, img.h))
-        fh.write(payload)
+    write_atomic(path, magic + b"\n%d %d\n255\n" % (img.w, img.h) + payload)
 
 
 def read_mask(path) -> Tensor4:
@@ -248,13 +246,17 @@ def split(samples: list[Sample], train_fraction: float,
 MANIFEST_NAME = "manifest.json"
 
 
-def write_atomic(path, text: str) -> None:
-    """Write `text` to a sibling ``.<name>.tmp`` and rename it over `path`,
-    so that a failed write leaves the previous file, never a partial one."""
+def write_atomic(path, data: str | bytes) -> None:
+    """Write `data`, text or bytes, to a sibling ``.<name>.tmp`` and rename
+    it over `path`, so that a failed write leaves the previous file, never
+    a partial one."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        tmp.write_text(text)
+        if isinstance(data, bytes):
+            tmp.write_bytes(data)
+        else:
+            tmp.write_text(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

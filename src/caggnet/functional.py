@@ -7,31 +7,41 @@ Training, eval and one-off calls all go through these functions; eval
 runs them on a ``Tape(grad=False)``, which checks operands but keeps
 nothing.
 
-The convolution has one padding layout, `_padded_flat`, for both dtypes
-and both directions. It spans the whole batch: channel-major, every image
-padded, the images one after another on one flat axis, so each kernel
-tap over every output pixel of every image is one contiguous slice, and
-`_crop` turns it back into NCHW. Only the forward's inner loop depends
-on the dtype. The ordered loop multiplies and adds one input channel and
-tap at a time in the fixed (ci, ki, kj) order of
-`gradcheck.conv2d_reference`; float64 takes it, so the two are
-bit-identical, which gradient checking and the conv equivalence test
-rely on. The float32 loop (the default precision) makes one BLAS matmul
-per tap over all input channels and rounds differently, except with one
-input channel: there a matmul would make one product per term in the
-same tap order, so the ordered loop gives the same bits without the
-per-call BLAS overhead. Each matmul covers the whole batch, and it
-computes every image's columns as a one-image call would, so a batch
-gives each image the bits it gets alone.
+The convolution's ordered loop runs on one padding layout,
+`_padded_flat`: channel-major, every image padded, the images one after
+another on one flat axis, so each kernel tap over every output pixel of
+every image is one contiguous slice, and `_crop` turns it back into NCHW.
+It multiplies and adds one input channel and tap at a time in the fixed
+(ci, ki, kj) order of `gradcheck.conv2d_reference`; float64 takes it, so
+the two are bit-identical, which gradient checking and the conv
+equivalence test rely on. So does a float32 conv with one input channel:
+there a matmul would make one product per term in the same tap order, so
+the loop gives the same bits without the BLAS call overhead.
 
-The backward keeps no order and has one rule for both dtypes: one im2col
-of the padded output gradient `g` (Chellapilla et al., 2006), whose
-k*k*c_out rows are g's padded layout shifted by each tap, over every
-input pixel of the batch. The input gradient is the flipped kernel times
-these columns, and the weight gradient is the columns times the
-channel-major input, so two BLAS matmuls replace two per tap. The
-columns are c_out deep, the narrow side of CAggNet's wide-in aggregation
-convs, and the input is never padded again.
+Any other float32 conv (the default precision) is one BLAS matmul over
+the narrower of its two sides, and rounds differently. With c_in <= c_out
+it is the kernel times `_unfold(x)`, im2col's k*k*c_in rows over every
+pixel of the batch (Chellapilla et al., 2006); on a tie im2col measured
+faster. With c_in > c_out it is kn2row
+(Vasudevan, Anderson and Gregg, 2017, arXiv:1704.04428, `_kn2row`): the
+tap-stacked k*k*c_out x c_in kernel times the unpadded channel-major
+input, then one shifted add per tap straight into the c_out output rows,
+with the pixels that the padding would have zeroed masked out first, so
+no padded copy of the input is made. At every conv of the models on
+images of 4x4 pixels or more, a batch gives each image the bits it gets
+alone, which chunked evaluation relies on. The attention gates' 1x1
+images are the exception: one image is one column, which numpy hands to
+BLAS's gemv instead of gemm, so it rounds differently alone. Images
+under 4x4 can too, since BLAS may take another kernel for so few columns.
+
+The backward keeps no order and has one rule for both dtypes: one
+`_unfold` of the output gradient `g`, whose k*k*c_out rows are g shifted
+by each tap of the flipped kernel, over every input pixel of the batch.
+The input gradient is the flipped kernel times these columns, and the
+weight gradient is the columns times the channel-major input, so two
+BLAS matmuls replace two per tap. The columns are c_out deep, the narrow
+side of CAggNet's wide-in aggregation convs, and the input is never
+padded again.
 """
 
 from __future__ import annotations
@@ -152,27 +162,75 @@ def _crop(flat: np.ndarray, shape, hp: int, wp: int) -> np.ndarray:
     return np.ascontiguousarray(a.transpose(1, 0, 2, 3))
 
 
+def _unfold(a: np.ndarray, k: int) -> np.ndarray:
+    """im2col of an NCHW array for a same-size k x k kernel: the dense
+    (k*k*c, n*h*w) columns whose block (ki, kj) is the zero-padded `a`
+    shifted by tap (ki, kj), channel-major over every pixel of the batch."""
+    n, c, h, wd = a.shape
+    ap, hp, wp = _padded_flat(a, k)[:3]
+    ap = ap.reshape(c, n, hp, wp)
+    cols = np.empty((k, k, c, n, h, wd), dtype=a.dtype)
+    for ki in range(k):
+        for kj in range(k):
+            cols[ki, kj] = ap[:, :, ki:ki + h, kj:kj + wd]
+    return cols.reshape(k * k * c, n * h * wd)
+
+
+def _kn2row(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The channel-major (c_out, n*h*w) same-size convolution of `x` as
+    one product of the tap-stacked kernel with the unpadded input, then
+    one shifted add per tap along the flat pixel axis. Before a tap's
+    add, the pixels of its product that the flat shift would carry across
+    a row or image edge are zeroed; those are the padding's terms."""
+    n, c_in, h, wd = x.shape
+    c_out, _, k, _ = w.shape
+    pad, m = (k - 1) // 2, n * h * wd
+    y = w.transpose(2, 3, 0, 1).reshape(k * k * c_out, c_in) @ \
+        x.transpose(1, 0, 2, 3).reshape(c_in, m)
+    y = y.reshape(k, k, c_out, n, h, wd)
+    out = np.empty((c_out, m), dtype=x.dtype)
+    out[...] = b.reshape(c_out, 1)
+    for ki in range(k):
+        for kj in range(k):
+            di, dj = ki - pad, kj - pad
+            s = di * wd + dj
+            if abs(s) >= m:
+                continue
+            yt = y[ki, kj]
+            yt[:, :, :max(di, 0)] = 0
+            yt[:, :, h + min(di, 0):] = 0
+            yt[:, :, :, :max(dj, 0)] = 0
+            yt[:, :, :, wd + min(dj, 0):] = 0
+            lo, hi = max(-s, 0), m - max(s, 0)
+            out[:, lo:hi] += yt.reshape(c_out, m)[:, lo + s:hi + s]
+    return out
+
+
 def conv2d(x: Var, weight: Var, bias: Var) -> Var:
     """Same-size cross-correlation with a (c_out, c_in, k, k) weight plus
     bias; k = 3 pads by 1, k = 1 by 0, stride 1."""
-    xv, w = x.value, weight.value
+    xv, w, b = x.value, weight.value, bias.value
     n, c_in, h, wd = xv.shape
     c_out, c_in2, k, _ = w.shape
     if c_in2 != c_in:
         raise ShapeError(f"conv2d channel mismatch: input c={c_in}, weight c_in={c_in2}")
-    flat, hp, wp, span, taps = _padded_flat(xv, k)
-    acc = np.empty((c_out, n * hp * wp), dtype=xv.dtype)
-    body = acc[:, :span]
-    body[...] = bias.value.reshape(c_out, 1)
     if xv.dtype == np.float64 or c_in == 1:
         # fixed (ci, ki, kj) accumulation order; see module docstring
+        flat, hp, wp, span, taps = _padded_flat(xv, k)
+        acc = np.empty((c_out, n * hp * wp), dtype=xv.dtype)
+        body = acc[:, :span]
+        body[...] = b.reshape(c_out, 1)
         for ci in range(c_in):
             for ki, kj, off in taps:
                 body += flat[ci:ci + 1, off:off + span] * w[:, ci, ki, kj].reshape(c_out, 1)
+        out = _crop(acc, (n, c_out, h, wd), hp, wp)
     else:
-        for ki, kj, off in taps:
-            body += w[:, :, ki, kj] @ flat[:, off:off + span]
-    out = _crop(acc, (n, c_out, h, wd), hp, wp)
+        if c_in <= c_out:
+            y = w.transpose(0, 2, 3, 1).reshape(c_out, -1) @ _unfold(xv, k)
+            y += b.reshape(c_out, 1)
+        else:
+            y = _kn2row(xv, w, b)
+        out = _crop(y, (n, c_out, h, wd), h, wd)
     return x.tape.record("conv2d", (x, weight, bias), out, ctx=(xv, w))
 
 
@@ -180,15 +238,9 @@ def _conv2d_bwd(node: TapeNode, g: np.ndarray):
     x, w = node.ctx
     n, c_in, h, wd = x.shape
     c_out, _, k, _ = w.shape
-    # im2col of the zero-padded g: block (ki, kj) of `cols` is g shifted
-    # by tap (ki, kj) of the flipped kernel, over every input pixel
-    gp, hp, wp = _padded_flat(g, k)[:3]
-    gp = gp.reshape(c_out, n, hp, wp)
-    cols = np.empty((k, k, c_out, n, h, wd), dtype=g.dtype)
-    for ki in range(k):
-        for kj in range(k):
-            cols[ki, kj] = gp[:, :, ki:ki + h, kj:kj + wd]
-    cols = cols.reshape(k * k * c_out, n * h * wd)
+    # block (ki, kj) of `cols` is g shifted by tap (ki, kj) of the flipped
+    # kernel, over every input pixel
+    cols = _unfold(g, k)
     wf = w[:, :, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(c_in, -1)
     gx = _crop(wf @ cols, x.shape, h, wd)
     gw = cols @ x.transpose(1, 0, 2, 3).reshape(c_in, -1).T

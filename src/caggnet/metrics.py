@@ -152,7 +152,8 @@ def evaluate_model(model, samples, threshold: float = 0.5,
     Consecutive samples of the same image shape go through the model
     together, in chunks of as many images as fit `EVAL_PIXEL_BUDGET`
     pixels and at least one; eval mode treats every image in a batch
-    alone, so the probabilities are those of one image at a time.
+    alone, so the probabilities are those of one image at a time (within
+    the float32 conv limits stated in `functional`).
     Returns the MetricsReport, or (report, predictions) when
     keep_predictions is set (predictions are the raw (1, 1, h, w)
     probability maps, in sample order).

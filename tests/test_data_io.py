@@ -252,10 +252,11 @@ class TestDatasetDirectory:
                    mask=Tensor4(rng.uniform(0, 1, (1, 1, 4, 4))), id="x")
 
 
-def write_half_then_fail(self, text):
-    """Stands in for `Path.write_text`: the disk fills halfway through."""
-    with open(self, "w") as fh:
-        fh.write(text[:len(text) // 2])
+def write_half_then_fail(self, data):
+    """Stands in for `Path.write_text` or `Path.write_bytes`: the disk
+    fills halfway through."""
+    with open(self, "wb" if isinstance(data, bytes) else "w") as fh:
+        fh.write(data[:len(data) // 2])
     raise OSError("No space left on device")
 
 
@@ -286,3 +287,13 @@ class TestWriteAtomic:
             save_dataset(tmp_path, samples, {"train": ["a"], "val": ["b"]})
         assert (tmp_path / "manifest.json").read_bytes() == before
         assert not (tmp_path / ".manifest.json.tmp").exists()
+
+    def test_failed_netpbm_write_leaves_the_previous_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "mask.pgm"
+        write_netpbm(target, Tensor4(np.zeros((1, 1, 4, 6))))
+        before = target.read_bytes()
+        monkeypatch.setattr(Path, "write_bytes", write_half_then_fail)
+        with pytest.raises(OSError, match="No space"):
+            write_netpbm(target, Tensor4(np.ones((1, 1, 4, 6))))
+        assert target.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["mask.pgm"]

@@ -172,25 +172,30 @@ class TestEvaluateModel:
         from caggnet.data_io import SynthConfig, gen_synthetic
         from caggnet.models import ModelConfig, build_caggnet, build_unet, forward
 
-        # chunks of 8 + 3 at 32x32, 2 + 1 at 64x64, then 1 at 32x32 again
+        # chunks of 8 + 3 at 32x32, 2 + 1 at 64x64, 1 at 32x32 again, then
+        # 32 + 1 at 16x16, whose bottom level is 4x4
         samples = (gen_synthetic(SynthConfig(count=11, size=32, seed=1))
                    + gen_synthetic(SynthConfig(count=3, size=64, seed=2))
-                   + gen_synthetic(SynthConfig(count=1, size=32, seed=3)))
+                   + gen_synthetic(SynthConfig(count=1, size=32, seed=3))
+                   + gen_synthetic(SynthConfig(count=33, size=16, seed=4,
+                                               radius_min=2, radius_max=4)))
         build = build_caggnet if arch == "caggnet" else build_unet
-        model = build(ModelConfig(levels=3, columns=2, base_channels=4,
-                                  in_channels=1, seed=7, dtype=dtype))
-        report, preds = evaluate_model(model, samples, keep_predictions=True)
-
         np_dtype = np.float32 if dtype == "single" else np.float64
-        ref_preds, ref_counts = [], []
-        for s in samples:
-            p = forward(model, Tensor4(s.image.data.astype(np_dtype)),
-                        training=False).probs
-            ref_preds.append(p)
-            ref_counts.append(confusion(binarize(p),
-                                        Tensor4(s.mask.data.astype(np_dtype))))
-        ref = summarize([s.id for s in samples], ref_counts, 0.5)
-        assert [p.data.shape for p in preds] == [p.data.shape for p in ref_preds]
-        assert all(p.data.dtype == np_dtype for p in preds)
-        assert [p.data.tobytes() for p in preds] == [p.data.tobytes() for p in ref_preds]
-        assert json.dumps(report.to_dict()) == json.dumps(ref.to_dict())
+        for base_channels in (4, 8):
+            model = build(ModelConfig(levels=3, columns=2, base_channels=base_channels,
+                                      in_channels=1, seed=7, dtype=dtype))
+            report, preds = evaluate_model(model, samples, keep_predictions=True)
+
+            ref_preds, ref_counts = [], []
+            for s in samples:
+                p = forward(model, Tensor4(s.image.data.astype(np_dtype)),
+                            training=False).probs
+                ref_preds.append(p)
+                ref_counts.append(confusion(binarize(p),
+                                            Tensor4(s.mask.data.astype(np_dtype))))
+            ref = summarize([s.id for s in samples], ref_counts, 0.5)
+            assert [p.data.shape for p in preds] == [p.data.shape for p in ref_preds]
+            assert all(p.data.dtype == np_dtype for p in preds)
+            assert ([p.data.tobytes() for p in preds]
+                    == [p.data.tobytes() for p in ref_preds]), base_channels
+            assert json.dumps(report.to_dict()) == json.dumps(ref.to_dict())

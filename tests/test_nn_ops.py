@@ -208,6 +208,68 @@ class TestConv2d:
         p = conv_params(rng.normal(size=(3, 4, 3, 3)), bias=rng.normal(size=3))
         assert conv2d(x, p).data.tobytes() == conv2d_reference(x, p).data.tobytes()
 
+    # CAggNet's conv widths at base_channels 8 on both sides of the float32
+    # forward's rule: im2col when c_in <= c_out, kn2row otherwise
+    @pytest.mark.parametrize("c_in,c_out", [(8, 8), (24, 8), (56, 16), (48, 32),
+                                            (8, 16), (16, 32)])
+    def test_single_precision_at_model_widths_within_tolerance_of_reference(
+            self, c_in, c_out):
+        # images smaller than the kernel, where a tap's flat shift crosses
+        # whole rows and images, and a batch of four against its first image
+        rng = np.random.default_rng(c_in * 100 + c_out)
+        for k in (1, 3):
+            for h, w in [(1, 1), (1, 2), (2, 3), (3, 1)]:
+                x = rng.normal(size=(4, c_in, h, w)).astype(np.float32)
+                p = Conv2dParams(rng.normal(size=(c_out, c_in, k, k)).astype(np.float32),
+                                 rng.normal(size=c_out).astype(np.float32))
+                ref = conv2d_reference(
+                    Tensor4(x.astype(np.float64)),
+                    Conv2dParams(p.weight.astype(np.float64),
+                                 p.bias.astype(np.float64))).data
+                for n in (1, 4):
+                    out = conv2d(Tensor4(x[:n]), p).data
+                    assert out.dtype == np.float32
+                    rel = np.max(np.abs(out - ref[:n])) / np.max(np.abs(ref[:n]))
+                    assert rel <= 1e-5, (n, k, h, w, rel)
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_single_precision_batch_gives_each_image_its_own_bits(self, monkeypatch, n):
+        # every conv of both models at the eval chunk sizes 16x16 (32 images
+        # a chunk) and 32x32 (8 images), batched against one image at a time
+        from caggnet.models import ModelConfig, build_caggnet, build_unet, forward
+
+        shapes = set()
+        conv = F.conv2d
+
+        def record(x, weight, bias):
+            shapes.add((x.value.shape[1:], weight.value.shape))
+            return conv(x, weight, bias)
+
+        monkeypatch.setattr(F, "conv2d", record)
+        for build in (build_caggnet, build_unet):
+            model = build(ModelConfig(levels=3, columns=2, base_channels=8,
+                                      in_channels=1, dtype="single"))
+            for size in (16, 32):
+                forward(model, Tensor4(np.zeros((1, 1, size, size), np.float32)),
+                        training=False)
+        monkeypatch.undo()
+        assert {xs[1:] for xs, _ in shapes} == {(1, 1), (4, 4), (8, 8), (16, 16),
+                                               (32, 32)}
+        rng = np.random.default_rng(3)
+        for (c_in, h, w), wshape in sorted(shapes):
+            x = rng.normal(size=(n, c_in, h, w)).astype(np.float32)
+            p = Conv2dParams(rng.normal(size=wshape).astype(np.float32),
+                             rng.normal(size=wshape[0]).astype(np.float32))
+            batch = conv2d(Tensor4(x), p).data
+            alone = np.concatenate([conv2d(Tensor4(x[i:i + 1]), p).data
+                                    for i in range(n)])
+            if h * w > 1:
+                assert batch.tobytes() == alone.tobytes(), (c_in, wshape, h, w)
+            else:
+                # the attention gates' 1x1 images: one image is one column,
+                # which numpy hands to BLAS's gemv instead of gemm
+                np.testing.assert_allclose(batch, alone, rtol=1e-5, atol=1e-6)
+
 
 class TestMaxpool2:
     def test_single_window(self):
