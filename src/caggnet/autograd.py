@@ -135,9 +135,13 @@ class Tape:
 
 
 def backward(tape: Tape, loss) -> dict[int, np.ndarray]:
-    """Reverse-accumulate d(loss)/d(x) for every tensor on the tape.
+    """Reverse-accumulate d(loss)/d(x) for every leaf on the tape.
 
-    Returns gradients keyed by tape id; an absent id has a zero gradient.
+    Returns the leaves' gradients keyed by tape id; an absent id has a
+    zero gradient. A node's output gradient is complete once the walk
+    reaches that node, so it is dropped there: the live gradients are
+    the frontier of the walk, not the whole tape. The tape itself is only
+    read, so `backward` can run on it again.
     The loss must be scalar-shaped (1, 1, 1, 1). Gradients over multiple
     paths are summed; traversal order is fixed (reverse recording order,
     inputs in recorded order) so replays are bit-identical.
@@ -156,7 +160,7 @@ def backward(tape: Tape, loss) -> dict[int, np.ndarray]:
         loss_id: np.ones((1, 1, 1, 1), dtype=loss_val.dtype)
     }
     for node in reversed(tape.nodes):
-        g = grads.get(node.out)
+        g = grads.pop(node.out, None)
         if g is None:
             continue
         input_grads = RULES[node.op](node, g)

@@ -325,6 +325,10 @@ def cmd_gradcheck(args, cfg: dict) -> int:
 def cmd_synth(args, cfg: dict) -> int:
     from . import data_io
 
+    fraction = cfg["train"]["train_fraction"]
+    if not 0.0 < fraction < 1.0:
+        raise CliError(f"config key 'train.train_fraction' must be in (0, 1), "
+                       f"got {fraction}")
     try:
         synth = data_io.SynthConfig(
             count=args.count, size=args.size,
@@ -334,7 +338,7 @@ def cmd_synth(args, cfg: dict) -> int:
         )
         synth.validate()
         samples = data_io.gen_synthetic(synth)
-        n_train = int(round(cfg["train"]["train_fraction"] * len(samples)))
+        n_train = int(round(fraction * len(samples)))
         if args.count == 1:
             split_ids = {"train": [samples[0].id], "val": [samples[0].id]}
         else:

@@ -128,8 +128,14 @@ class AdamState:
     v: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.lr <= 0:
+        # written so that NaN fails every check
+        if not self.lr > 0:
             raise ValueError(f"lr must be > 0, got {self.lr}")
+        for name, beta in (("beta1", self.beta1), ("beta2", self.beta2)):
+            if not 0.0 <= beta < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {beta}")
+        if not self.eps > 0:
+            raise ValueError(f"eps must be > 0, got {self.eps}")
 
 
 def adam_step(store: ParamStore, state: AdamState, grad: np.ndarray) -> None:
@@ -238,6 +244,25 @@ def check_loop_args(train_samples, val_samples, epochs_max: int,
         raise ValueError(f"epochs_max must be >= 1, got {epochs_max}")
 
 
+def _train_step(model, x, y, loss_fn, optimizer: AdamState, epoch: int) -> float:
+    """Forward, loss, backward and one Adam update on one batch; returns
+    the loss. The step's tape and gradients are locals here, so they are
+    freed when it returns: one training tape is alive at a time, never
+    during the next batch's forward or validation."""
+    try:
+        fp = forward(model, x, training=True)
+        loss_var = loss_fn(fp.probs_var, y)
+    except TensorError as e:
+        # non-finite activations surface here before the loss does
+        raise TrainingDiverged(f"epoch {epoch}: {e}") from e
+    loss = float(loss_var.value.reshape(()))
+    if not np.isfinite(loss):
+        raise TrainingDiverged(f"loss became {loss} at epoch {epoch}")
+    grad = model.params.apply_grads(fp.tape, backward(fp.tape, loss_var))
+    adam_step(model.params, optimizer, grad)
+    return loss
+
+
 def train_loop(model, train_samples, val_samples, loss_fn,
                optimizer: AdamState, stopper: EarlyStopper, epochs_max: int,
                batch_size: int, seed: int = 0, threshold: float = 0.5,
@@ -264,18 +289,7 @@ def train_loop(model, train_samples, val_samples, loss_fn,
         for start in range(0, len(order), batch_size):
             idxs = order[start:start + batch_size]
             x, y = batch_arrays(train_samples, idxs, dtype)
-            try:
-                fp = forward(model, x, training=True)
-                loss_var = loss_fn(fp.probs_var, y)
-            except TensorError as e:
-                # non-finite activations surface here before the loss does
-                raise TrainingDiverged(f"epoch {epoch}: {e}") from e
-            loss = float(loss_var.value.reshape(()))
-            if not np.isfinite(loss):
-                raise TrainingDiverged(f"loss became {loss} at epoch {epoch}")
-            grad = model.params.apply_grads(fp.tape, backward(fp.tape, loss_var))
-            adam_step(model.params, optimizer, grad)
-            losses.append(loss)
+            losses.append(_train_step(model, x, y, loss_fn, optimizer, epoch))
 
         try:
             report = evaluate_model(model, val_samples, threshold=threshold)

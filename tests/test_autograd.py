@@ -48,6 +48,17 @@ class TestBackwardBasics:
         grads = backward(t, loss)
         assert np.array_equal(grads.get(x.id), np.full((1, 1, 2, 2), 2.0))
 
+    def test_result_holds_only_the_reached_leaves(self):
+        # interior gradients are dropped once their node is reached
+        t = Tape()
+        x = leaf(t, np.full((1, 1, 2, 2), 3.0))
+        w = leaf(t, np.full((1, 1, 2, 2), 0.5))
+        leaf(t, np.ones((1, 1, 2, 2)))
+        loss = F.sum_all(F.add(F.relu(F.mul(x, w)), x))
+        grads = backward(t, loss)
+        assert set(grads) == {x.id, w.id}
+        assert np.array_equal(grads[x.id], np.full((1, 1, 2, 2), 1.5))
+
     def test_non_scalar_loss_rejected(self):
         t = Tape()
         x = leaf(t, np.ones((1, 1, 2, 2)))

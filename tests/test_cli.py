@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import caggnet
-from caggnet.cli import CliError, load_config, main
+from caggnet.cli import DEFAULT_CONFIG, CliError, load_config, main
 from caggnet.tensor_core import Tensor4, read_tensor, write_tensor
 
 
@@ -142,6 +142,17 @@ class TestSynth:
         code = main(["synth", "--out", str(tmp_path / "x"), "--size", "24"])
         assert code == 1
 
+    @pytest.mark.parametrize("fraction", [1.5, 1.0, 0.0, -0.25])
+    def test_train_fraction_out_of_range_exits_1_naming_it(self, tmp_path, capsys,
+                                                           fraction):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"train": {"train_fraction": fraction}}))
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "d"),
+                     "--count", "8", "--size", "16"]) == 1
+        err = capsys.readouterr().err
+        assert "train.train_fraction" in err and "Traceback" not in err
+        assert not (tmp_path / "d").exists()
+
 
 class TestTrain:
     TRAIN_ARGS = ["--epochs", "2", "--levels", "2", "--base-channels", "2",
@@ -214,6 +225,10 @@ class TestTrain:
         ([], {"optim": {"lr": 0}}, "lr"),
         (["--lr", "-0.001"], {}, "lr"),
         (["--batch-size", "0"], {}, "batch_size"),
+        ([], {"optim": {"beta1": 1.5}}, "beta1"),
+        ([], {"optim": {"beta1": -0.1}}, "beta1"),
+        ([], {"optim": {"beta2": 1.0}}, "beta2"),
+        ([], {"optim": {"eps": 0.0}}, "eps"),
     ])
     def test_bad_training_knob_exits_1_naming_it(self, dataset, tmp_path, capsys,
                                                  flags, config, named):
@@ -258,6 +273,101 @@ class TestTrain:
         assert a == b
         assert (outs[0] / "train_log.csv").read_bytes() == \
             (outs[1] / "train_log.csv").read_bytes()
+
+
+def config_leaves(node: dict, prefix: str = ""):
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from config_leaves(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+def nested(leaf: str, value) -> dict:
+    out = value
+    for key in reversed(leaf.split(".")):
+        out = {key: out}
+    return out
+
+
+class TestKnobs:
+    """Every leaf of `DEFAULT_CONFIG` takes effect on a training run, or is
+    listed with the reason it cannot."""
+
+    # a value other than the default for each leaf; the base run is the
+    # default config for 3 epochs on dataset "a", whose manifest holds no
+    # split, so that `train.train_fraction` splits it
+    EFFECTIVE = {
+        "seed": 4,
+        "data_dir": "b",
+        "model.arch": "unet",
+        "model.levels": 2,
+        "model.columns": 1,
+        "model.base_channels": 4,
+        "model.wab_reduction": 4,
+        "loss.kind": "bce",
+        "loss.alpha": 0.5,
+        "loss.gamma": 1.0,
+        "optim.lr": 1e-2,
+        "optim.beta1": 0.5,
+        "optim.beta2": 0.9,
+        "optim.eps": 1e-3,
+        "train.epochs_max": 2,
+        "train.batch_size": 2,
+        "train.patience": 0,
+        "train.train_fraction": 0.5,
+        "train.threshold": 0.3,
+    }
+    WITHOUT_EFFECT = {
+        "out_dir": "names where the outputs go, not what they hold",
+        "threads": "sizes the BLAS pools before numpy loads, which an "
+                   "in-process run cannot redo; outputs are not meant to "
+                   "depend on it",
+        "model.in_channels": "must equal the dataset's channel count, and "
+                             "synth writes one-channel images",
+        "loss.clamp_eps": "clips only probabilities within 1e-3 of 0 or 1, "
+                          "which a short run from a fresh init never reaches; "
+                          "test_train checks it in make_loss",
+    }
+
+    @staticmethod
+    def train(root: Path, name: str, override: dict) -> tuple[bytes, dict]:
+        """Train with `override` on top of the base config; return the
+        run's config.json and its deterministic outputs."""
+        out = root / name
+        path = root / f"{name}.json"
+        path.write_text(json.dumps(load_config(str(root / "base.json"),
+                                               {**override, "out_dir": str(out)})))
+        assert main(["train", "--config", str(path)]) == 0
+        return ((out / "config.json").read_bytes(),
+                {"train_log.csv": (out / "train_log.csv").read_bytes(),
+                 **checksum_tree(out / "checkpoint")})
+
+    @pytest.fixture(scope="class")
+    def base(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("knobs")
+        for name, seed in (("a", "3"), ("b", "4")):
+            assert main(["synth", "--out", str(root / name), "--count", "6",
+                         "--size", "16", "--seed", seed]) == 0
+            corrupt_manifest(root / name / "manifest.json", lambda m: m.pop("split"))
+        (root / "base.json").write_text(json.dumps(
+            {"data_dir": str(root / "a"), "train": {"epochs_max": 3}}))
+        return root, self.train(root, "base", {})
+
+    def test_table_covers_every_leaf(self):
+        assert not self.EFFECTIVE.keys() & self.WITHOUT_EFFECT.keys()
+        assert sorted(self.EFFECTIVE.keys() | self.WITHOUT_EFFECT.keys()) == \
+            sorted(config_leaves(DEFAULT_CONFIG))
+
+    @pytest.mark.parametrize("leaf", sorted(EFFECTIVE))
+    def test_knob_changes_config_and_outputs(self, base, leaf):
+        root, (base_config, base_outputs) = base
+        value = self.EFFECTIVE[leaf]
+        if leaf == "data_dir":
+            value = str(root / value)
+        config, outputs = self.train(root, leaf, nested(leaf, value))
+        assert config != base_config
+        assert outputs != base_outputs
 
 
 class TestEval:

@@ -1,9 +1,12 @@
 import copy
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from caggnet import models
 from caggnet import train as train_mod
 from caggnet.autograd import Tape, backward
 from caggnet.models import ModelConfig, ParamStore, build_caggnet
@@ -56,6 +59,14 @@ class TestBceLoss:
     def test_make_loss_checks_clamp_eps(self, clamp_eps):
         with pytest.raises(ValueError, match="clamp_eps"):
             make_loss("bce", clamp_eps=clamp_eps)
+
+    @pytest.mark.parametrize("kind", ["bce", "focal"])
+    def test_make_loss_applies_clamp_eps(self, kind):
+        # fully wrong, saturated predictions: a wider clamp bounds the loss lower
+        pred, target = prob_map([[[[0.0, 1.0]]]]), prob_map([[[[1.0, 0.0]]]])
+        tight = loss_value(make_loss(kind, clamp_eps=1e-7), pred, target)
+        wide = loss_value(make_loss(kind, clamp_eps=1e-4), pred, target)
+        assert tight > wide > 0
 
 
 class TestFocalLoss:
@@ -239,6 +250,12 @@ class TestTrainLoop:
         (dict(lr=-1e-3), 2, 1, "lr"),
         ({}, -1, 1, "patience"),
         ({}, 2, 0, "epochs_max"),
+        (dict(lr=float("nan")), 2, 1, "lr"),
+        (dict(beta1=1.0), 2, 1, "beta1"),
+        (dict(beta1=-0.1), 2, 1, "beta1"),
+        (dict(beta2=1.5), 2, 1, "beta2"),
+        (dict(eps=0.0), 2, 1, "eps"),
+        (dict(eps=float("nan")), 2, 1, "eps"),
     ])
     def test_bad_training_knob_rejected(self, rng, adam, patience, epochs_max,
                                         named):
@@ -302,6 +319,35 @@ class TestTrainLoop:
         a = evaluate_model(model, samples[2:])
         b = evaluate_model(restored, samples[2:])
         assert a.mean_iou == b.mean_iou == log.best_val_iou
+
+    def test_one_training_tape_alive_at_a_time(self, rng, monkeypatch):
+        # a step's tape is freed by reference counting before the next
+        # batch's forward and before validation's, so the peak holds one
+        # tape; the cyclic collector is off so that it cannot free it
+        samples = make_dataset(rng, count=5)
+        original = models.forward
+        tapes, alive, modes = [], [], []
+
+        def watched(model, x, training=False):
+            alive.append(sum(ref() is not None for ref in tapes))
+            modes.append(training)
+            fp = original(model, x, training=training)
+            if training:
+                tapes.append(weakref.ref(fp.tape))
+            return fp
+
+        monkeypatch.setattr(train_mod, "forward", watched)
+        monkeypatch.setattr(models, "forward", watched)
+        gc.disable()
+        try:
+            train_loop(self.tiny_model(), samples[:3], samples[3:],
+                       make_loss("bce"), AdamState(), EarlyStopper(),
+                       epochs_max=2, batch_size=1, seed=0)
+        finally:
+            gc.enable()
+        assert modes.count(True) == len(tapes) == 6
+        assert modes.count(False) >= 2
+        assert alive == [0] * len(modes)
 
     def test_deepcopy_trains_on_to_the_same_bytes(self, rng):
         # a benchmark pass trains a deep copy of the model and its optimizer:
