@@ -11,7 +11,9 @@ Exit codes: 0 success, 1 configuration/data error, 2 training divergence.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -64,21 +66,28 @@ def _pin_threads(n: int) -> None:
         os.environ[var] = str(n)
 
 
+# leaves whose value must lie strictly between 0 and 1
+OPEN_UNIT_LEAVES = ("train.train_fraction", "train.threshold")
+
+
 def _check_leaf(where: str, default, value) -> None:
     """A config value must have its default's type: an int counts as a
-    float but a bool never as an int. `data_dir` is a string or null;
-    `threads` is checked by `_resolve_threads`."""
+    float but a bool never as an int, and a float must be finite (`json`
+    reads `NaN` and `Infinity`). `data_dir` is a string or null; `threads`
+    is checked by `_resolve_threads`."""
     if where == "threads":
         return
     if default is None:
         ok, kind = value is None or isinstance(value, str), "a string or null"
     elif isinstance(default, float):
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-        kind = "a number"
+        ok = type(value) in (int, float) and abs(value) < math.inf
+        kind = "a finite number"
     else:
         ok, kind = type(value) is type(default), type(default).__name__
     if not ok:
         raise CliError(f"config key {where!r} must be {kind}, got {value!r}")
+    if where in OPEN_UNIT_LEAVES and not 0.0 < value < 1.0:
+        raise CliError(f"config key {where!r} must be in (0, 1), got {value!r}")
 
 
 def _merge_config(base: dict, override: dict, path: str = "") -> dict:
@@ -198,12 +207,20 @@ def _load_split_dataset(cfg: dict):
     return train, val
 
 
+def _check_channels(samples, in_channels: int) -> None:
+    """Checked by `train` and `eval` before they write anything."""
+    if any(s.image.c != in_channels for s in samples):
+        raise CliError(f"dataset channel count does not match "
+                       f"model.in_channels={in_channels}")
+
+
 def cmd_train(args, cfg: dict) -> int:
     from .data_io import write_atomic
     from .train import (AdamState, EarlyStopper, TrainingDiverged, check_loop_args,
                         make_loss, train_loop)
 
     train_set, val_set = _load_split_dataset(cfg)
+    _check_channels(train_set + val_set, cfg["model"]["in_channels"])
     model = _build_model(cfg)
     loss_fn = make_loss(cfg["loss"]["kind"], alpha=cfg["loss"]["alpha"],
                         gamma=cfg["loss"]["gamma"],
@@ -259,11 +276,7 @@ def cmd_eval(args, cfg: dict) -> int:
                            f"split in its manifest")
         train, val = data_io.split_from_manifest(samples, manifest)
         samples = {"train": train, "val": val}[args.split]
-    if any(s.image.c != model.cfg.in_channels for s in samples):
-        raise CliError(
-            f"dataset channel count does not match model in_channels="
-            f"{model.cfg.in_channels}"
-        )
+    _check_channels(samples, model.cfg.in_channels)
 
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -318,17 +331,13 @@ def cmd_gradcheck(args, cfg: dict) -> int:
               f"worst={coord}  {status}")
     if args.json_out:
         write_atomic(args.json_out, json.dumps(
-            [json.loads(r.to_json()) for r in reports], indent=2) + "\n")
+            [dataclasses.asdict(r) for r in reports], indent=2) + "\n")
     return 0 if all(r.passed for r in reports) else 1
 
 
 def cmd_synth(args, cfg: dict) -> int:
     from . import data_io
 
-    fraction = cfg["train"]["train_fraction"]
-    if not 0.0 < fraction < 1.0:
-        raise CliError(f"config key 'train.train_fraction' must be in (0, 1), "
-                       f"got {fraction}")
     try:
         synth = data_io.SynthConfig(
             count=args.count, size=args.size,
@@ -338,7 +347,7 @@ def cmd_synth(args, cfg: dict) -> int:
         )
         synth.validate()
         samples = data_io.gen_synthetic(synth)
-        n_train = int(round(fraction * len(samples)))
+        n_train = int(round(cfg["train"]["train_fraction"] * len(samples)))
         if args.count == 1:
             split_ids = {"train": [samples[0].id], "val": [samples[0].id]}
         else:

@@ -7,41 +7,33 @@ Training, eval and one-off calls all go through these functions; eval
 runs them on a ``Tape(grad=False)``, which checks operands but keeps
 nothing.
 
-The convolution's ordered loop runs on one padding layout,
-`_padded_flat`: channel-major, every image padded, the images one after
-another on one flat axis, so each kernel tap over every output pixel of
-every image is one contiguous slice, and `_crop` turns it back into NCHW.
-It multiplies and adds one input channel and tap at a time in the fixed
-(ci, ki, kj) order of `gradcheck.conv2d_reference`; float64 takes it, so
-the two are bit-identical, which gradient checking and the conv
-equivalence test rely on. So does a float32 conv with one input channel:
-there a matmul would make one product per term in the same tap order, so
-the loop gives the same bits without the BLAS call overhead.
+Every convolution path yields the dense channel-major (c_out, n*h*w)
+output that `_to_nchw` turns into NCHW. Float64 adds one input channel
+and tap at a time over that channel's `_unfold` rows, in the fixed
+(ci, ki, kj) order of `gradcheck.conv2d_reference`, so the two are
+bit-identical; gradient checking and the conv equivalence test rely on
+it.
 
-Any other float32 conv (the default precision) is one BLAS matmul over
-the narrower of its two sides, and rounds differently. With c_in <= c_out
-it is the kernel times `_unfold(x)`, im2col's k*k*c_in rows over every
-pixel of the batch (Chellapilla et al., 2006); on a tie im2col measured
-faster. With c_in > c_out it is kn2row
-(Vasudevan, Anderson and Gregg, 2017, arXiv:1704.04428, `_kn2row`): the
-tap-stacked k*k*c_out x c_in kernel times the unpadded channel-major
-input, then one shifted add per tap straight into the c_out output rows,
-with the pixels that the padding would have zeroed masked out first, so
-no padded copy of the input is made. At every conv of the models on
-images of 4x4 pixels or more, a batch gives each image the bits it gets
-alone, which chunked evaluation relies on. The attention gates' 1x1
-images are the exception: one image is one column, which numpy hands to
-BLAS's gemv instead of gemm, so it rounds differently alone. Images
-under 4x4 can too, since BLAS may take another kernel for so few columns.
+Float32 (the default precision) is one BLAS matmul over the narrower
+side, and rounds differently. With c_in <= c_out it is the kernel times
+`_unfold(x)`, im2col's k*k*c_in rows over every pixel of the batch
+(Chellapilla et al., 2006); a tie goes to im2col, which measured faster.
+With c_in > c_out it is `_kn2row` (Vasudevan, Anderson and Gregg, 2017,
+arXiv:1704.04428): the tap-stacked k*k*c_out x c_in kernel times the
+unpadded channel-major input, then one shifted add per tap into the
+output rows, with the pixels the padding would have zeroed masked out
+first. At every conv of the models on images of 4x4 pixels or more, a
+batch gives each image the bits it gets alone, which chunked evaluation
+relies on. The attention gates' 1x1 images are the exception: one image
+is one column, which numpy hands to BLAS's gemv instead of gemm. Images
+under 4x4 can round differently too, since BLAS may take another kernel
+for so few columns.
 
-The backward keeps no order and has one rule for both dtypes: one
-`_unfold` of the output gradient `g`, whose k*k*c_out rows are g shifted
-by each tap of the flipped kernel, over every input pixel of the batch.
-The input gradient is the flipped kernel times these columns, and the
-weight gradient is the columns times the channel-major input, so two
-BLAS matmuls replace two per tap. The columns are c_out deep, the narrow
-side of CAggNet's wide-in aggregation convs, and the input is never
-padded again.
+The backward has one rule for both dtypes: one `_unfold` of the output
+gradient `g`, whose k*k*c_out rows are g shifted by each tap of the
+flipped kernel. The input gradient is the flipped kernel times these
+columns and the weight gradient the columns times the channel-major
+input: two BLAS matmuls.
 """
 
 from __future__ import annotations
@@ -132,34 +124,10 @@ def _channel_scale_bwd(node: TapeNode, g: np.ndarray):
     return g * wv, (g * xv).sum(axis=(2, 3), keepdims=True)
 
 
-def _padded_flat(x: np.ndarray, k: int):
-    """Lay the whole batch out channel-major for a k x k kernel: every
-    image zero-padded on all four sides to hp x wp, the images one after
-    another along one flat axis. Returns ``(flat, hp, wp, span, taps)``
-    with `flat` of shape (c, n*hp*wp). Output pixel (s, i, j) sits at
-    offset (s*hp + i)*wp + j, so tap (ki, kj) over every output pixel of
-    every image is the contiguous slice ``flat[:, off:off + span]`` for
-    each ``(ki, kj, off)`` in `taps`; the columns and rows between the
-    images' output windows are junk to crop (`_crop`)."""
-    n, c, h, wd = x.shape
-    pad = (k - 1) // 2
-    hp, wp = h + 2 * pad, wd + 2 * pad
-    if pad:
-        xp = np.zeros((c, n, hp, wp), dtype=x.dtype)
-        xp[:, :, pad:pad + h, pad:pad + wd] = x.transpose(1, 0, 2, 3)
-    else:
-        xp = np.ascontiguousarray(x.transpose(1, 0, 2, 3))  # a view if n = 1
-    taps = [(ki, kj, ki * wp + kj) for ki in range(k) for kj in range(k)]
-    return xp.reshape(c, -1), hp, wp, ((n - 1) * hp + h - 1) * wp + wd, taps
-
-
-def _crop(flat: np.ndarray, shape, hp: int, wp: int) -> np.ndarray:
-    """The NCHW `shape` copy of the top-left h x w window of each image in
-    a channel-major (c, n*hp*wp) array: a `_padded_flat` layout, or with
-    hp = h and wp = w, a dense channel-major one."""
+def _to_nchw(flat: np.ndarray, shape) -> np.ndarray:
+    """The NCHW `shape` copy of a dense channel-major (c, n*h*w) array."""
     n, c, h, wd = shape
-    a = flat.reshape(c, n, hp, wp)[:, :, :h, :wd]
-    return np.ascontiguousarray(a.transpose(1, 0, 2, 3))
+    return np.ascontiguousarray(flat.reshape(c, n, h, wd).transpose(1, 0, 2, 3))
 
 
 def _unfold(a: np.ndarray, k: int) -> np.ndarray:
@@ -167,8 +135,11 @@ def _unfold(a: np.ndarray, k: int) -> np.ndarray:
     (k*k*c, n*h*w) columns whose block (ki, kj) is the zero-padded `a`
     shifted by tap (ki, kj), channel-major over every pixel of the batch."""
     n, c, h, wd = a.shape
-    ap, hp, wp = _padded_flat(a, k)[:3]
-    ap = ap.reshape(c, n, hp, wp)
+    pad = (k - 1) // 2
+    ap = a.transpose(1, 0, 2, 3)
+    if pad:
+        ap = np.zeros((c, n, h + 2 * pad, wd + 2 * pad), dtype=a.dtype)
+        ap[:, :, pad:pad + h, pad:pad + wd] = a.transpose(1, 0, 2, 3)
     cols = np.empty((k, k, c, n, h, wd), dtype=a.dtype)
     for ki in range(k):
         for kj in range(k):
@@ -188,8 +159,7 @@ def _kn2row(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     y = w.transpose(2, 3, 0, 1).reshape(k * k * c_out, c_in) @ \
         x.transpose(1, 0, 2, 3).reshape(c_in, m)
     y = y.reshape(k, k, c_out, n, h, wd)
-    out = np.empty((c_out, m), dtype=x.dtype)
-    out[...] = b.reshape(c_out, 1)
+    out = np.repeat(b.reshape(c_out, 1), m, axis=1)
     for ki in range(k):
         for kj in range(k):
             di, dj = ki - pad, kj - pad
@@ -214,35 +184,30 @@ def conv2d(x: Var, weight: Var, bias: Var) -> Var:
     c_out, c_in2, k, _ = w.shape
     if c_in2 != c_in:
         raise ShapeError(f"conv2d channel mismatch: input c={c_in}, weight c_in={c_in2}")
-    if xv.dtype == np.float64 or c_in == 1:
+    if xv.dtype == np.float64:
         # fixed (ci, ki, kj) accumulation order; see module docstring
-        flat, hp, wp, span, taps = _padded_flat(xv, k)
-        acc = np.empty((c_out, n * hp * wp), dtype=xv.dtype)
-        body = acc[:, :span]
-        body[...] = b.reshape(c_out, 1)
+        y = np.repeat(b.reshape(c_out, 1), n * h * wd, axis=1)
         for ci in range(c_in):
-            for ki, kj, off in taps:
-                body += flat[ci:ci + 1, off:off + span] * w[:, ci, ki, kj].reshape(c_out, 1)
-        out = _crop(acc, (n, c_out, h, wd), hp, wp)
+            taps = w[:, ci].reshape(c_out, k * k, 1)
+            for t, col in enumerate(_unfold(xv[:, ci:ci + 1], k)):
+                y += col * taps[:, t]
+    elif c_in <= c_out:
+        y = w.transpose(0, 2, 3, 1).reshape(c_out, -1) @ _unfold(xv, k)
+        y += b.reshape(c_out, 1)
     else:
-        if c_in <= c_out:
-            y = w.transpose(0, 2, 3, 1).reshape(c_out, -1) @ _unfold(xv, k)
-            y += b.reshape(c_out, 1)
-        else:
-            y = _kn2row(xv, w, b)
-        out = _crop(y, (n, c_out, h, wd), h, wd)
+        y = _kn2row(xv, w, b)
+    out = _to_nchw(y, (n, c_out, h, wd))
     return x.tape.record("conv2d", (x, weight, bias), out, ctx=(xv, w))
 
 
 def _conv2d_bwd(node: TapeNode, g: np.ndarray):
     x, w = node.ctx
-    n, c_in, h, wd = x.shape
-    c_out, _, k, _ = w.shape
+    c_out, c_in, k, _ = w.shape
     # block (ki, kj) of `cols` is g shifted by tap (ki, kj) of the flipped
     # kernel, over every input pixel
     cols = _unfold(g, k)
     wf = w[:, :, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(c_in, -1)
-    gx = _crop(wf @ cols, x.shape, h, wd)
+    gx = _to_nchw(wf @ cols, x.shape)
     gw = cols @ x.transpose(1, 0, 2, 3).reshape(c_in, -1).T
     gw = gw.reshape(k, k, c_out, c_in)[::-1, ::-1].transpose(2, 3, 0, 1)
     return gx, np.ascontiguousarray(gw), g.sum(axis=(0, 2, 3))

@@ -1,4 +1,6 @@
+import functools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -229,6 +231,9 @@ class TestTrain:
         ([], {"optim": {"beta1": -0.1}}, "beta1"),
         ([], {"optim": {"beta2": 1.0}}, "beta2"),
         ([], {"optim": {"eps": 0.0}}, "eps"),
+        ([], {"train": {"threshold": 7.0}}, "train.threshold"),
+        ([], {"train": {"threshold": 0.0}}, "train.threshold"),
+        (["--in-channels", "3"], {}, "model.in_channels"),
     ])
     def test_bad_training_knob_exits_1_naming_it(self, dataset, tmp_path, capsys,
                                                  flags, config, named):
@@ -288,6 +293,28 @@ def nested(leaf: str, value) -> dict:
     for key in reversed(leaf.split(".")):
         out = {key: out}
     return out
+
+
+# every float leaf of the default config
+FLOAT_LEAVES = [leaf for leaf in config_leaves(DEFAULT_CONFIG)
+                if isinstance(functools.reduce(dict.get, leaf.split("."), DEFAULT_CONFIG),
+                              float)]
+
+
+class TestNonFiniteConfig:
+    # `json` reads the literals NaN and Infinity, which pass range checks
+    # written as `x < 0`
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("leaf", FLOAT_LEAVES)
+    def test_non_finite_float_exits_1_naming_key(self, dataset, tmp_path, capsys,
+                                                 leaf, value):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(nested(leaf, value)))
+        assert main(["train", "--config", str(cfg), "--data", str(dataset),
+                     "--out", str(tmp_path / "r")] + TestTrain.TRAIN_ARGS) == 1
+        err = capsys.readouterr().err
+        assert f"config key {leaf!r}" in err and "Traceback" not in err
+        assert not (tmp_path / "r").exists()
 
 
 class TestKnobs:
@@ -415,6 +442,26 @@ class TestEval:
         save_checkpoint(tmp_path / "ckpt3", model3)
         assert main(["eval", "--checkpoint", str(tmp_path / "ckpt3"),
                      "--data", str(dataset), "--out", str(tmp_path / "e")]) == 1
+
+    @pytest.mark.parametrize("in_channels,threshold,named", [
+        (1, 7.0, "train.threshold"),
+        (1, 0.0, "train.threshold"),
+        (3, 0.5, "model.in_channels"),
+    ])
+    def test_bad_input_exits_1_before_writing(self, dataset, tmp_path, capsys,
+                                               in_channels, threshold, named):
+        from caggnet.models import ModelConfig, build_caggnet, save_checkpoint
+
+        ckpt = tmp_path / "ckpt"
+        save_checkpoint(ckpt, build_caggnet(ModelConfig(
+            levels=2, columns=1, base_channels=2, in_channels=in_channels)))
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"train": {"threshold": threshold}}))
+        assert main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt),
+                     "--data", str(dataset), "--out", str(tmp_path / "e")]) == 1
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not (tmp_path / "e").exists()
 
     def fresh_checkpoint(self, tmp_path):
         from caggnet.models import ModelConfig, build_caggnet, save_checkpoint

@@ -211,7 +211,7 @@ class TestConv2d:
     # CAggNet's conv widths at base_channels 8 on both sides of the float32
     # forward's rule: im2col when c_in <= c_out, kn2row otherwise
     @pytest.mark.parametrize("c_in,c_out", [(8, 8), (24, 8), (56, 16), (48, 32),
-                                            (8, 16), (16, 32)])
+                                            (8, 16), (16, 32), (1, 8)])
     def test_single_precision_at_model_widths_within_tolerance_of_reference(
             self, c_in, c_out):
         # images smaller than the kernel, where a tap's flat shift crosses
