@@ -73,8 +73,8 @@ OPEN_UNIT_LEAVES = ("train.train_fraction", "train.threshold")
 def _check_leaf(where: str, default, value) -> None:
     """A config value must have its default's type: an int counts as a
     float but a bool never as an int, and a float must be finite (`json`
-    reads `NaN` and `Infinity`). `data_dir` is a string or null; `threads`
-    is checked by `_resolve_threads`."""
+    reads `NaN` and `Infinity`) and, for `OPEN_UNIT_LEAVES`, in (0, 1).
+    `data_dir` is a string or null; `threads` is `_resolve_threads`'s."""
     if where == "threads":
         return
     if default is None:
