@@ -1,9 +1,10 @@
 """Command-line entry point: synth, train, eval, gradcheck.
 
 Experiments are driven by a JSON config whose keys are validated
-exhaustively (unknown keys are rejected); command-line flags override
-config values. Every command is deterministic given its config, and all
-outputs land under the directory passed via --out.
+exhaustively (unknown keys are rejected); a command-line flag overrides
+the config key that its argparse dest names. Every command is
+deterministic given its config, and all outputs land under the directory
+passed via --out.
 
 Exit codes: 0 success, 1 configuration/data error, 2 training divergence.
 """
@@ -122,34 +123,26 @@ def load_config(path: str | None, overrides: dict) -> dict:
     return _merge_config(cfg, overrides)
 
 
+def _leaves(node: dict, prefix: str = ""):
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
 def _flag_overrides(args) -> dict:
-    """Translate set CLI flags into the nested config layout."""
+    """Nest the set flags whose dest names a `DEFAULT_CONFIG` leaf, such as
+    ``optim.lr``, into the config layout."""
+    leaves = set(_leaves(DEFAULT_CONFIG))
     out: dict = {}
-
-    def put(path: tuple[str, ...], value):
-        if value is None:
-            return
-        node = out
-        for key in path[:-1]:
-            node = node.setdefault(key, {})
-        node[path[-1]] = value
-
-    put(("seed",), args.seed)
-    put(("data_dir",), args.data)
-    put(("out_dir",), args.out)
-    put(("threads",), args.threads)
-    put(("model", "arch"), getattr(args, "arch", None))
-    put(("model", "levels"), getattr(args, "levels", None))
-    put(("model", "columns"), getattr(args, "columns", None))
-    put(("model", "base_channels"), getattr(args, "base_channels", None))
-    put(("model", "in_channels"), getattr(args, "in_channels", None))
-    put(("loss", "kind"), getattr(args, "loss", None))
-    put(("loss", "alpha"), getattr(args, "alpha", None))
-    put(("loss", "gamma"), getattr(args, "gamma", None))
-    put(("optim", "lr"), getattr(args, "lr", None))
-    put(("train", "epochs_max"), getattr(args, "epochs", None))
-    put(("train", "batch_size"), getattr(args, "batch_size", None))
-    put(("train", "patience"), getattr(args, "patience", None))
+    for dest, value in vars(args).items():
+        if dest in leaves and value is not None:
+            *parents, key = dest.split(".")
+            node = out
+            for parent in parents:
+                node = node.setdefault(parent, {})
+            node[key] = value
     return out
 
 
@@ -170,63 +163,48 @@ def _resolve_threads(cfg: dict) -> int:
     return threads
 
 
-def _build_model(cfg: dict):
-    from .models import ModelConfig, build_caggnet, build_unet
-
-    m = cfg["model"]
-    mc = ModelConfig(
-        levels=m["levels"],
-        columns=m["columns"],
-        base_channels=m["base_channels"],
-        in_channels=m["in_channels"],
-        wab_reduction=m["wab_reduction"],
-        seed=cfg["seed"],
-        dtype="single",
-    )
-    if m["arch"] == "caggnet":
-        return build_caggnet(mc)
-    if m["arch"] == "unet":
-        return build_unet(mc)
-    raise CliError(f"unknown arch {m['arch']!r}")
-
-
-def _load_split_dataset(cfg: dict):
-    from . import data_io
+def _load_dataset(cfg: dict, model_cfg) -> tuple[list, dict]:
+    """Load `data_dir` and check every image against `model_cfg`, so that
+    `train` and `eval` reject a dataset before they write anything."""
+    from .data_io import load_dataset
+    from .models import check_input
+    from .tensor_core import ShapeError
 
     data_dir = cfg["data_dir"]
     if data_dir is None:
         raise CliError("no dataset: set data_dir in the config or pass --data")
     if not Path(data_dir).exists():
         raise CliError(f"dataset directory not found: {data_dir}")
-    samples, manifest = data_io.load_dataset(data_dir)
-    if "split" in manifest:
-        train, val = data_io.split_from_manifest(samples, manifest)
-    else:
-        train, val = data_io.split(samples, cfg["train"]["train_fraction"],
-                                   seed=cfg["seed"])
-    return train, val
-
-
-def _check_channels(samples, in_channels: int) -> None:
-    """Checked by `train` and `eval` before they write anything."""
-    if any(s.image.c != in_channels for s in samples):
-        raise CliError(f"dataset channel count does not match "
-                       f"model.in_channels={in_channels}")
+    samples, manifest = load_dataset(data_dir)
+    for s in samples:
+        try:
+            check_input(model_cfg, s.image)
+        except ShapeError as e:
+            raise CliError(f"dataset {data_dir} sample {s.id!r}: {e}")
+    return samples, manifest
 
 
 def cmd_train(args, cfg: dict) -> int:
-    from .data_io import write_atomic
+    from .data_io import split, split_from_manifest, write_atomic
+    from .models import BUILDERS, ModelConfig
     from .train import (AdamState, EarlyStopper, TrainingDiverged, check_loop_args,
                         make_loss, train_loop)
 
-    train_set, val_set = _load_split_dataset(cfg)
-    _check_channels(train_set + val_set, cfg["model"]["in_channels"])
-    model = _build_model(cfg)
-    loss_fn = make_loss(cfg["loss"]["kind"], alpha=cfg["loss"]["alpha"],
-                        gamma=cfg["loss"]["gamma"],
-                        clamp_eps=cfg["loss"]["clamp_eps"])
-    optim = AdamState(lr=cfg["optim"]["lr"], beta1=cfg["optim"]["beta1"],
-                      beta2=cfg["optim"]["beta2"], eps=cfg["optim"]["eps"])
+    model_section = dict(cfg["model"])
+    arch = model_section.pop("arch")
+    if arch not in BUILDERS:
+        raise CliError(f"config key 'model.arch' must be one of "
+                       f"{', '.join(BUILDERS)}, got {arch!r}")
+    model = BUILDERS[arch](ModelConfig(**model_section, seed=cfg["seed"],
+                                       dtype="single"))
+    samples, manifest = _load_dataset(cfg, model.cfg)
+    if "split" in manifest:
+        train_set, val_set = split_from_manifest(samples, manifest)
+    else:
+        train_set, val_set = split(samples, cfg["train"]["train_fraction"],
+                                   seed=cfg["seed"])
+    loss_fn = make_loss(**cfg["loss"])
+    optim = AdamState(**cfg["optim"])
     stopper = EarlyStopper(patience=cfg["train"]["patience"])
     check_loop_args(train_set, val_set, cfg["train"]["epochs_max"],
                     cfg["train"]["batch_size"])
@@ -265,18 +243,13 @@ def cmd_eval(args, cfg: dict) -> int:
     if not ckpt.exists():
         raise CliError(f"checkpoint not found: {ckpt}")
     model = load_checkpoint(ckpt)
-
-    data_dir = cfg["data_dir"]
-    if data_dir is None or not Path(data_dir).exists():
-        raise CliError(f"dataset directory not found: {data_dir}")
-    samples, manifest = data_io.load_dataset(data_dir)
+    samples, manifest = _load_dataset(cfg, model.cfg)
     if args.split:
         if "split" not in manifest:
-            raise CliError(f"--split {args.split}: dataset {data_dir} has no "
-                           f"split in its manifest")
+            raise CliError(f"--split {args.split}: dataset {cfg['data_dir']} has "
+                           f"no split in its manifest")
         train, val = data_io.split_from_manifest(samples, manifest)
         samples = {"train": train, "val": val}[args.split]
-    _check_channels(samples, model.cfg.in_channels)
 
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -379,28 +352,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # a flag that sets a config key takes the key as its dest, which
+    # --help shows as the metavar, or as the help of a flag with choices
     def common(p):
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--data", help="dataset directory")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--threads", type=int,
+        p.add_argument("--seed", dest="seed", type=int)
+        p.add_argument("--data", dest="data_dir", help="dataset directory")
+        p.add_argument("--out", dest="out_dir", help="output directory")
+        p.add_argument("--threads", dest="threads", type=int,
                        help=f"intra-op threads (default ${THREADS_ENV} or 1)")
 
     p_train = sub.add_parser("train", help="train a model")
     common(p_train)
-    p_train.add_argument("--arch", choices=["caggnet", "unet"])
-    p_train.add_argument("--levels", type=int)
-    p_train.add_argument("--columns", type=int)
-    p_train.add_argument("--base-channels", dest="base_channels", type=int)
-    p_train.add_argument("--in-channels", dest="in_channels", type=int)
-    p_train.add_argument("--loss", choices=["focal", "bce"])
-    p_train.add_argument("--alpha", type=float)
-    p_train.add_argument("--gamma", type=float)
-    p_train.add_argument("--lr", type=float)
-    p_train.add_argument("--epochs", type=int)
-    p_train.add_argument("--batch-size", dest="batch_size", type=int)
-    p_train.add_argument("--patience", type=int)
+    p_train.add_argument("--arch", dest="model.arch", choices=["caggnet", "unet"],
+                         help="model.arch")
+    p_train.add_argument("--levels", dest="model.levels", type=int)
+    p_train.add_argument("--columns", dest="model.columns", type=int)
+    p_train.add_argument("--base-channels", dest="model.base_channels", type=int)
+    p_train.add_argument("--in-channels", dest="model.in_channels", type=int)
+    p_train.add_argument("--loss", dest="loss.kind", choices=["focal", "bce"],
+                         help="loss.kind")
+    p_train.add_argument("--alpha", dest="loss.alpha", type=float)
+    p_train.add_argument("--gamma", dest="loss.gamma", type=float)
+    p_train.add_argument("--lr", dest="optim.lr", type=float)
+    p_train.add_argument("--epochs", dest="train.epochs_max", type=int)
+    p_train.add_argument("--batch-size", dest="train.batch_size", type=int)
+    p_train.add_argument("--patience", dest="train.patience", type=int)
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint")

@@ -10,10 +10,11 @@ are evaluated top-down, each fusing
     then max-pooled), and
   - the level below's feature from the *previous* column (upsampled),
 
-with the top and bottom rows dropping the missing neighbor. This
-left-to-right, top-down order makes the wiring an acyclic grid, which is
-asserted while the schedule is built. The head applies channel attention
-per level to the last column and fuses bottom-up into a probability map.
+with the top and bottom rows dropping the missing neighbor. In this
+left-to-right, top-down order every input of a node is computed before
+the node, so the wiring is an acyclic grid. The head applies channel
+attention per level to the last column and fuses bottom-up into a
+probability map.
 """
 
 from __future__ import annotations
@@ -226,26 +227,6 @@ class UNet:
     arch: str = field(default="unet", init=False)
 
 
-def _assert_acyclic_schedule(levels: int, columns: int) -> None:
-    # Nodes are produced in (column, level) lexicographic order; every
-    # input must already be produced when its consumer runs.
-    produced = {(i, 0) for i in range(levels)}
-    for j in range(1, columns + 1):
-        for i in range(levels):
-            needs = [(i, j - 1)]
-            if i > 0:
-                needs.append((i - 1, j))
-            if i < levels - 1:
-                needs.append((i + 1, j - 1))
-            for dep in needs:
-                if dep not in produced:
-                    raise ConfigError(
-                        f"grid schedule is not acyclic: node (level {i}, "
-                        f"column {j}) needs unproduced {dep}"
-                    )
-            produced.add((i, j))
-
-
 def build_caggnet(cfg: ModelConfig) -> CaggNet:
     """Assemble the crossing-aggregation network.
 
@@ -254,7 +235,6 @@ def build_caggnet(cfg: ModelConfig) -> CaggNet:
     beta 0, drawn in a fixed construction order.
     """
     cfg.validate()
-    _assert_acyclic_schedule(cfg.levels, cfg.columns)
     rng = np.random.default_rng(cfg.seed)
     dtype = DTYPE_OF_TAG[cfg.dtype]
     store = ParamStore()
@@ -320,6 +300,25 @@ def build_unet(cfg: ModelConfig) -> UNet:
                 params=store)
 
 
+# the builder of each `arch`; an entry looks its builder up when called,
+# so that rebinding `build_caggnet` or `build_unet` (a profiler's wrapper,
+# say) also reaches the builds made through this table
+BUILDERS = {"caggnet": lambda cfg: build_caggnet(cfg),
+            "unet": lambda cfg: build_unet(cfg)}
+
+
+def check_input(cfg: ModelConfig, x: Tensor4) -> None:
+    """Raise ShapeError unless `x` has `cfg.in_channels` channels and
+    extents divisible by 2**(levels-1), as the pooling needs."""
+    if x.c != cfg.in_channels:
+        raise ShapeError(f"{x.c} input channels, but "
+                         f"model.in_channels={cfg.in_channels}")
+    multiple = 1 << (cfg.levels - 1)
+    if x.h % multiple or x.w % multiple:
+        raise ShapeError(f"spatial size {x.h}x{x.w} must be divisible by "
+                         f"{multiple} (model.levels={cfg.levels})")
+
+
 @dataclass
 class ForwardPass:
     """Forward result: probability map plus the tape that produced it;
@@ -375,20 +374,10 @@ def forward(model, x: Tensor4, training: bool = False) -> ForwardPass:
     `backward`. Eval mode runs on a ``Tape(grad=False)``, so it keeps no
     activations and its tape cannot be differentiated.
     """
-    cfg = model.cfg
-    if x.c != cfg.in_channels:
+    check_input(model.cfg, x)
+    if x.dtype_tag != model.cfg.dtype:
         raise ShapeError(
-            f"model expects {cfg.in_channels} input channels, got {x.c}"
-        )
-    multiple = 1 << (cfg.levels - 1)
-    if x.h % multiple or x.w % multiple:
-        raise ShapeError(
-            f"spatial size {x.h}x{x.w} must be divisible by {multiple} "
-            f"(levels={cfg.levels})"
-        )
-    if x.dtype_tag != cfg.dtype:
-        raise ShapeError(
-            f"input precision {x.dtype_tag} does not match model {cfg.dtype}"
+            f"input precision {x.dtype_tag} does not match model {model.cfg.dtype}"
         )
     tape = Tape(grad=training)
     xv = tape.leaf(x.data)
@@ -466,14 +455,11 @@ def load_checkpoint(directory):
         if type(value) is not type(defaults[key]):
             raise ConfigError(f"checkpoint {directory} config {key!r} must be "
                               f"a JSON {_JSON_NAME[type(defaults[key])]}")
-    cfg = ModelConfig(**manifest["config"])
-    if manifest["arch"] == "caggnet":
-        model = build_caggnet(cfg)
-    elif manifest["arch"] == "unet":
-        model = build_unet(cfg)
-    else:
+    if manifest["arch"] not in BUILDERS:
         raise ConfigError(f"checkpoint {directory} has unknown arch "
                           f"{manifest['arch']!r}")
+    cfg = ModelConfig(**manifest["config"])
+    model = BUILDERS[manifest["arch"]](cfg)
     listed, names = manifest["params"], model.params.names()
     if listed != names:
         at = next((i for i, (a, b) in enumerate(zip(listed, names)) if a != b),

@@ -153,4 +153,7 @@ def read_tensor(path) -> Tensor4:
             f"{path}: payload is {len(raw)} bytes, expected {expected}"
         )
     data = np.frombuffer(raw, dtype=dtype).reshape(shape.as_tuple())
-    return Tensor4(data.astype(dtype.newbyteorder("="), copy=True))
+    try:
+        return Tensor4(data.astype(dtype.newbyteorder("="), copy=True))
+    except TensorError as e:
+        raise TensorError(f"{path}: {e}") from None

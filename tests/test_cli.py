@@ -1,16 +1,20 @@
+import argparse
 import functools
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import caggnet
-from caggnet.cli import DEFAULT_CONFIG, CliError, load_config, main
+from caggnet.cli import DEFAULT_CONFIG, CliError, build_parser, load_config, main
 from caggnet.tensor_core import Tensor4, read_tensor, write_tensor
 
 
@@ -125,6 +129,16 @@ class TestUsageErrors:
         assert "usage:" in capsys.readouterr().out
 
 
+class TestFlags:
+    def test_every_train_flag_sets_a_config_leaf(self):
+        # a dest that names no leaf would be dropped without a word
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for a in sub.choices["train"]._actions
+                 if a.option_strings} - {"help", "config"}
+        assert dests and dests <= set(config_leaves(DEFAULT_CONFIG))
+
+
 class TestSynth:
     def test_writes_dataset_and_manifest(self, dataset):
         manifest = json.loads((dataset / "manifest.json").read_text())
@@ -186,7 +200,7 @@ class TestTrain:
         assert main(["train", "--config", str(cfg), "--data", str(dataset),
                      "--out", str(tmp_path / "r")] + self.TRAIN_ARGS) == 1
         assert "clamp_eps" in capsys.readouterr().err
-        assert not (tmp_path / "r" / "train_log.csv").exists()
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("case", sorted(DATASET_CORRUPTIONS))
     def test_bad_dataset_manifest_exits_1(self, dataset, tmp_path, capsys, case):
@@ -196,7 +210,7 @@ class TestTrain:
                      "--out", str(tmp_path / "r")] + self.TRAIN_ARGS) == 1
         err = capsys.readouterr().err
         assert str(dataset) in err and named in err
-        assert not (tmp_path / "r" / "train_log.csv").exists()
+        assert not (tmp_path / "r").exists()
 
     # each config value must have its default's type (an int counts as a
     # float, a bool never as a number); a wrong one exits 1 naming its key
@@ -219,7 +233,7 @@ class TestTrain:
                      "--out", str(tmp_path / "r")] + self.TRAIN_ARGS) == 1
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
-        assert not (tmp_path / "r" / "train_log.csv").exists()
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("flags,config,named", [
         (["--epochs", "0"], {}, "epochs_max"),
@@ -234,6 +248,8 @@ class TestTrain:
         ([], {"train": {"threshold": 7.0}}, "train.threshold"),
         ([], {"train": {"threshold": 0.0}}, "train.threshold"),
         (["--in-channels", "3"], {}, "model.in_channels"),
+        # the 16x16 images do not halve five times
+        (["--levels", "6"], {}, "model.levels"),
     ])
     def test_bad_training_knob_exits_1_naming_it(self, dataset, tmp_path, capsys,
                                                  flags, config, named):
@@ -253,7 +269,7 @@ class TestTrain:
                      "--out", str(tmp_path / "r")] + self.TRAIN_ARGS) == 1
         err = capsys.readouterr().err
         assert str(dataset / "manifest.json") in err and "Traceback" not in err
-        assert not (tmp_path / "r" / "train_log.csv").exists()
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("kind", ["images", "masks"])
     @pytest.mark.parametrize("case", sorted(NETPBM_CORRUPTIONS))
@@ -264,7 +280,7 @@ class TestTrain:
                      "--out", str(tmp_path / "r")] + self.TRAIN_ARGS) == 1
         err = capsys.readouterr().err
         assert str(path) in err and "Traceback" not in err
-        assert not (tmp_path / "r" / "train_log.csv").exists()
+        assert not (tmp_path / "r").exists()
 
     def test_deterministic_reruns(self, dataset, tmp_path):
         outs = []
@@ -315,6 +331,42 @@ class TestNonFiniteConfig:
         err = capsys.readouterr().err
         assert f"config key {leaf!r}" in err and "Traceback" not in err
         assert not (tmp_path / "r").exists()
+
+
+@st.composite
+def mutated_config(draw) -> tuple[dict, str]:
+    """A config file with one leaf mutated, and the name an error about it
+    must contain."""
+    leaf = draw(st.sampled_from(sorted(config_leaves(DEFAULT_CONFIG))))
+    kind = draw(st.sampled_from(["wrong-type", "non-finite", "out-of-range",
+                                 "unknown-key"]))
+    if kind == "unknown-key":
+        key = leaf.rpartition(".")[0] + ".no_such_key" if "." in leaf else "no_such_key"
+        return nested(key, 1), key
+    value = draw(st.sampled_from({
+        "wrong-type": ["1", [1], {}, True, None],
+        "non-finite": [math.nan, math.inf, -math.inf],
+        "out-of-range": [-1, 0, -0.5, 1.5],
+    }[kind]))
+    return nested(leaf, value), leaf.rpartition(".")[2]
+
+
+class TestConfigFuzz:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=mutated_config())
+    def test_mutated_leaf_runs_or_exits_1_naming_it(self, dataset, tmp_path, capsys,
+                                                    case):
+        config, named = case
+        root = Path(tempfile.mkdtemp(dir=tmp_path))
+        (root / "c.json").write_text(json.dumps(config))
+        code = main(["train", "--config", str(root / "c.json"), "--data", str(dataset),
+                     "--out", str(root / "r")] + TestTrain.TRAIN_ARGS)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code != 0:
+            assert code == 1 and named in err, (config, err)
+            assert not (root / "r").exists()
 
 
 class TestKnobs:
@@ -490,7 +542,7 @@ class TestEval:
                      "--out", str(tmp_path / "e")]) == 1
         err = capsys.readouterr().err
         assert "format" in err and str(ckpt) in err
-        assert not (tmp_path / "e" / "metrics.csv").exists()
+        assert not (tmp_path / "e").exists()
 
     def test_split_without_manifest_split_exits_1(self, dataset, tmp_path, capsys):
         ckpt = self.fresh_checkpoint(tmp_path)
@@ -500,7 +552,7 @@ class TestEval:
         assert main(["eval", "--checkpoint", str(ckpt), "--data", str(dataset),
                      "--out", str(tmp_path / "e"), "--split", "val"]) == 1
         assert str(dataset) in capsys.readouterr().err
-        assert not (tmp_path / "e" / "metrics.csv").exists()
+        assert not (tmp_path / "e").exists()
 
     # checkpoint manifest corruptions: each must exit 1 naming the
     # checkpoint directory and the key or value at fault
@@ -534,7 +586,7 @@ class TestEval:
                      "--out", str(tmp_path / "e")]) == 1
         err = capsys.readouterr().err
         assert str(ckpt) in err and named in err
-        assert not (tmp_path / "e" / "metrics.csv").exists()
+        assert not (tmp_path / "e").exists()
 
     # corruptions of the parameter dump of a single-precision checkpoint:
     # each must exit 1 naming the dump
@@ -545,6 +597,10 @@ class TestEval:
             path, Tensor4(read_tensor(path).data.astype(np.float64))),
         "extra-value": lambda path: write_tensor(
             path, Tensor4(np.append(read_tensor(path).data, 0).reshape(1, 1, 1, -1))),
+        # the first value after the 17-byte header
+        "nan": lambda path: path.write_bytes(
+            path.read_bytes()[:17] + np.float32(np.nan).tobytes()
+            + path.read_bytes()[21:]),
     }
 
     @pytest.mark.parametrize("case", sorted(DUMP_CORRUPTIONS))
@@ -555,7 +611,7 @@ class TestEval:
                      "--out", str(tmp_path / "e")]) == 1
         err = capsys.readouterr().err
         assert str(ckpt) in err and "params.t4" in err and "Traceback" not in err
-        assert not (tmp_path / "e" / "metrics.csv").exists()
+        assert not (tmp_path / "e").exists()
 
     @pytest.mark.parametrize("case", sorted(DATASET_CORRUPTIONS))
     def test_bad_dataset_manifest_exits_1(self, dataset, tmp_path, capsys, case):
@@ -566,7 +622,7 @@ class TestEval:
                      "--out", str(tmp_path / "e"), "--split", "val"]) == 1
         err = capsys.readouterr().err
         assert str(dataset) in err and named in err
-        assert not (tmp_path / "e" / "metrics.csv").exists()
+        assert not (tmp_path / "e").exists()
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
     def test_malformed_checkpoint_manifest_exits_1_naming_it(self, dataset, tmp_path,
@@ -577,7 +633,7 @@ class TestEval:
                      "--out", str(tmp_path / "e")]) == 1
         err = capsys.readouterr().err
         assert str(ckpt / "manifest.json") in err and "Traceback" not in err
-        assert not (tmp_path / "e" / "metrics.csv").exists()
+        assert not (tmp_path / "e").exists()
 
     @pytest.mark.parametrize("kind", ["images", "masks"])
     @pytest.mark.parametrize("case", sorted(NETPBM_CORRUPTIONS))
@@ -589,7 +645,27 @@ class TestEval:
                      "--out", str(tmp_path / "e")]) == 1
         err = capsys.readouterr().err
         assert str(path) in err and "Traceback" not in err
-        assert not (tmp_path / "e" / "metrics.csv").exists()
+        assert not (tmp_path / "e").exists()
+
+    def test_checkpoint_too_deep_for_images_exits_1_before_writing(
+            self, dataset, tmp_path, capsys):
+        from caggnet.models import ModelConfig, build_caggnet, save_checkpoint
+
+        ckpt = tmp_path / "ckpt"
+        save_checkpoint(ckpt, build_caggnet(ModelConfig(levels=6, columns=1,
+                                                        base_channels=2)))
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(dataset),
+                     "--out", str(tmp_path / "e")]) == 1
+        err = capsys.readouterr().err
+        assert "model.levels" in err and "Traceback" not in err
+        assert not (tmp_path / "e").exists()
+
+    def test_no_dataset_exits_1_naming_data_dir(self, tmp_path, capsys):
+        ckpt = self.fresh_checkpoint(tmp_path)
+        assert main(["eval", "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "e")]) == 1
+        assert "no dataset: set data_dir" in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
 
     def test_missing_checkpoint_exits_1(self, dataset, tmp_path):
         assert main(["eval", "--checkpoint", str(tmp_path / "nope"),
