@@ -144,6 +144,7 @@ def cam_forward(x_same_prev: Var, x_above: Var | None, x_below: Var | None,
             )
         parts.append(F.upsample_nearest2(x_below))
     z = parts[0] if len(parts) == 1 else F.concat_channels(parts)
+    del parts  # the pooled and upsampled parts die once concatenated
     if z.value.shape[1] != body.conv1.c_in:
         raise ShapeError(
             f"aggregated input has {z.value.shape[1]} channels but the node "

@@ -75,7 +75,8 @@ def _check_leaf(where: str, default, value) -> None:
     """A config value must have its default's type: an int counts as a
     float but a bool never as an int, and a float must be finite (`json`
     reads `NaN` and `Infinity`) and, for `OPEN_UNIT_LEAVES`, in (0, 1).
-    `data_dir` is a string or null; `threads` is `_resolve_threads`'s."""
+    `seed` must be >= 0, as numpy's generators require. `data_dir` is a
+    string or null; `threads` is `_resolve_threads`'s."""
     if where == "threads":
         return
     if default is None:
@@ -89,6 +90,8 @@ def _check_leaf(where: str, default, value) -> None:
         raise CliError(f"config key {where!r} must be {kind}, got {value!r}")
     if where in OPEN_UNIT_LEAVES and not 0.0 < value < 1.0:
         raise CliError(f"config key {where!r} must be in (0, 1), got {value!r}")
+    if where == "seed" and value < 0:
+        raise CliError(f"config key 'seed' must be >= 0, got {value!r}")
 
 
 def _merge_config(base: dict, override: dict, path: str = "") -> dict:
@@ -270,31 +273,13 @@ def cmd_eval(args, cfg: dict) -> int:
 
 
 def cmd_gradcheck(args, cfg: dict) -> int:
-    from . import autograd, gradcheck
+    from . import gradcheck
     from .data_io import write_atomic
 
     scopes = ["ops", "blocks", "model"] if args.scope == "all" else [args.scope]
-    restore = None
-    if args.corrupt:
-        # test fixture: perturb one registered backward rule
-        if args.corrupt not in autograd.RULES:
-            raise CliError(f"no registered op named {args.corrupt!r}")
-        original = autograd.RULES[args.corrupt]
-
-        def corrupted(node, g):
-            return tuple(None if gi is None else gi * 1.01
-                         for gi in original(node, g))
-
-        autograd.RULES[args.corrupt] = corrupted
-        restore = (args.corrupt, original)
-
-    try:
-        reports = []
-        for scope in scopes:
-            reports.extend(gradcheck.run_scope(scope))
-    finally:
-        if restore is not None:
-            autograd.RULES[restore[0]] = restore[1]
+    reports = []
+    for scope in scopes:
+        reports.extend(gradcheck.run_scope(scope))
 
     width = max(len(r.op) for r in reports)
     for r in reports:
@@ -393,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_grad.add_argument("--scope", choices=["ops", "blocks", "model", "all"],
                         default="all")
     p_grad.add_argument("--json-out", dest="json_out")
-    p_grad.add_argument("--corrupt", help=argparse.SUPPRESS)
     p_grad.set_defaults(func=cmd_gradcheck)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset")

@@ -341,20 +341,18 @@ def _encoder_column(model, x: Var, training: bool) -> list[Var]:
 
 
 def _caggnet_graph(model: CaggNet, x: Var, training: bool) -> Var:
-    columns = [_encoder_column(model, x, training)]
+    # only the previous column stays alive while the next one is built
+    prev = _encoder_column(model, x, training)
     L = model.cfg.levels
-    for j, column_nodes in enumerate(model.grid, start=1):
-        prev = columns[j - 1]
+    for column_nodes in model.grid:
         current: list[Var] = []
         for i in range(L):
             above = current[i - 1] if i > 0 else None
             below = prev[i + 1] if i < L - 1 else None
             current.append(cam_forward(prev[i], above, below,
                                        column_nodes[i], training))
-        columns.append(current)
-    feats = columns[-1]
-    deepest_first = feats[::-1]
-    return wam_head(deepest_first, model.wabs[::-1], model.fuse, model.head)
+        prev = current
+    return wam_head(prev[::-1], model.wabs[::-1], model.fuse, model.head)
 
 
 def _unet_graph(model: UNet, x: Var, training: bool) -> Var:
@@ -434,7 +432,8 @@ def save_checkpoint(directory, model) -> None:
 
 def load_checkpoint(directory):
     """Rebuild a model from a checkpoint directory; ``params.t4`` is split
-    by the rebuilt model's parameter sizes, in construction order."""
+    by the rebuilt model's parameter sizes, in construction order. A
+    negative batch-norm running variance is rejected, naming it."""
     directory = Path(directory)
     manifest = read_manifest(directory / CHECKPOINT_MANIFEST)
     if manifest.get("format") != CHECKPOINT_FORMAT:
@@ -474,6 +473,11 @@ def load_checkpoint(directory):
                           f"{dump.shape.count} {dump.dtype_tag} values; the model "
                           f"has {sum(sizes)} {cfg.dtype}")
     parts = np.split(dump.data.reshape(-1), np.cumsum(sizes)[:-1])
-    model.params.load_values({name: part.reshape(p.value.shape)
-                              for (name, p), part in zip(model.params.items(), parts)})
+    values = {}
+    for (name, p), part in zip(model.params.items(), parts):
+        if name.endswith(".running_var") and np.any(part < 0):
+            raise ConfigError(f"checkpoint {directory} {CHECKPOINT_PARAMS!r} holds a "
+                              f"negative variance in {name!r}")
+        values[name] = part.reshape(p.value.shape)
+    model.params.load_values(values)
     return model

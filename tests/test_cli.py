@@ -76,6 +76,21 @@ def corrupt_netpbm(dataset: Path, kind: str, case: str) -> Path:
     return path
 
 
+def negate_first_running_var(path: Path) -> None:
+    """Set the first batch-norm running variance in a checkpoint's dump
+    to -1."""
+    from caggnet.models import load_checkpoint
+
+    start = 0
+    for name, p in load_checkpoint(path.parent).params.items():
+        if name.endswith(".running_var"):
+            break
+        start += p.value.size
+    data = read_tensor(path).data.copy()
+    data.reshape(-1)[start] = -1.0
+    write_tensor(path, Tensor4(data))
+
+
 class TestConfig:
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -169,6 +184,17 @@ class TestSynth:
         assert "train.train_fraction" in err and "Traceback" not in err
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("flags,config", [(["--seed", "-1"], {}),
+                                              ([], {"seed": -1})])
+    def test_negative_seed_exits_1_naming_it(self, tmp_path, capsys, flags, config):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "d"),
+                     "--count", "4", "--size", "16"] + flags) == 1
+        err = capsys.readouterr().err
+        assert "config key 'seed'" in err and "Traceback" not in err
+        assert not (tmp_path / "d").exists()
+
 
 class TestTrain:
     TRAIN_ARGS = ["--epochs", "2", "--levels", "2", "--base-channels", "2",
@@ -250,6 +276,8 @@ class TestTrain:
         (["--in-channels", "3"], {}, "model.in_channels"),
         # the 16x16 images do not halve five times
         (["--levels", "6"], {}, "model.levels"),
+        (["--seed", "-1"], {}, "'seed'"),
+        ([], {"seed": -1}, "'seed'"),
     ])
     def test_bad_training_knob_exits_1_naming_it(self, dataset, tmp_path, capsys,
                                                  flags, config, named):
@@ -601,6 +629,7 @@ class TestEval:
         "nan": lambda path: path.write_bytes(
             path.read_bytes()[:17] + np.float32(np.nan).tobytes()
             + path.read_bytes()[21:]),
+        "negative-running-var": negate_first_running_var,
     }
 
     @pytest.mark.parametrize("case", sorted(DUMP_CORRUPTIONS))
@@ -688,11 +717,13 @@ class TestGradcheckCommand:
         assert all(r["passed"] for r in reports)
         assert "PASS" in printed
 
-    def test_corrupted_backward_fails(self):
-        assert main(["gradcheck", "--scope", "ops", "--corrupt", "conv2d"]) == 1
+    def test_corrupted_backward_fails(self, monkeypatch):
+        from caggnet import autograd
 
-    def test_unknown_corrupt_target(self):
-        assert main(["gradcheck", "--scope", "ops", "--corrupt", "nope"]) == 1
+        original = autograd.RULES["conv2d"]
+        monkeypatch.setitem(autograd.RULES, "conv2d", lambda node, g: tuple(
+            None if gi is None else gi * 1.01 for gi in original(node, g)))
+        assert main(["gradcheck", "--scope", "ops"]) == 1
 
 
 class TestThreads:

@@ -218,6 +218,23 @@ class TestNoGradForward:
         assert len(recorded.tape.nodes) > 0
         assert plain.probs.data.tobytes() == recorded.probs.data.tobytes()
 
+    def test_eval_forward_peak_traced_memory(self, rng):
+        # one 128x128 image: about 0.5 MB per 8-channel activation; banded
+        # im2col and the graph dropping read features keep the peak near 7.6 MiB
+        import tracemalloc
+
+        model = build_caggnet(ModelConfig(levels=3, columns=2, base_channels=8,
+                                          in_channels=1, dtype="single"))
+        x = Tensor4(rng.uniform(0, 1, size=(1, 1, 128, 128)).astype(np.float32))
+        forward(model, x, training=False)
+        tracemalloc.start()
+        try:
+            forward(model, x, training=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8.5 * 2**20
+
     def test_backward_on_eval_pass_rejected(self, rng, tiny_cfg):
         from caggnet.train import traced_bce_loss
 

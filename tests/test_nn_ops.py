@@ -232,6 +232,22 @@ class TestConv2d:
                     rel = np.max(np.abs(out - ref[:n])) / np.max(np.abs(ref[:n]))
                     assert rel <= 1e-5, (n, k, h, w, rel)
 
+    # more than one band of im2col columns: rows of one image, whole
+    # images, and a group of images plus a remainder
+    @pytest.mark.parametrize("n,c,size", [(1, 8, 128), (3, 8, 96), (9, 8, 32),
+                                          (1, 16, 64)])
+    def test_single_precision_bands_match_the_whole_layer_bytewise(self, n, c, size):
+        rng = np.random.default_rng(size + n)
+        x = rng.normal(size=(n, c, size, size)).astype(np.float32)
+        assert 9 * x.size > F.COLS_BUDGET
+        for k in (1, 3):
+            p = Conv2dParams(rng.normal(size=(c, c, k, k)).astype(np.float32),
+                             rng.normal(size=c).astype(np.float32))
+            whole = p.weight.transpose(0, 2, 3, 1).reshape(c, -1) @ F._unfold(x, k)
+            whole += p.bias.reshape(c, 1)
+            out = conv2d(Tensor4(x), p).data
+            assert out.tobytes() == F._to_nchw(whole, out.shape).tobytes(), k
+
     @pytest.mark.parametrize("n", [4, 8])
     def test_single_precision_batch_gives_each_image_its_own_bits(self, monkeypatch, n):
         # every conv of both models at the eval chunk sizes 16x16 (32 images
