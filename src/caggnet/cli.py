@@ -2,9 +2,9 @@
 
 Experiments are driven by a JSON config whose keys are validated
 exhaustively (unknown keys are rejected); a command-line flag overrides
-the config key that its argparse dest names. Every command is
-deterministic given its config, and all outputs land under the directory
-passed via --out.
+the config key that its argparse dest names, and each subcommand takes
+only the flags it reads. Every command is deterministic given its config;
+`gradcheck` writes only its --json-out, the others only under --out.
 
 Exit codes: 0 success, 1 configuration/data error, 2 training divergence.
 """
@@ -19,13 +19,10 @@ import os
 import sys
 from pathlib import Path
 
-THREADS_ENV = "CAGGNET_THREADS"
-
 DEFAULT_CONFIG = {
     "seed": 0,
     "data_dir": None,
     "out_dir": "out",
-    "threads": None,
     "model": {
         "arch": "caggnet",
         "levels": 3,
@@ -60,11 +57,8 @@ class CliError(Exception):
     """User-facing configuration or data problem (exit code 1)."""
 
 
-def _pin_threads(n: int) -> None:
-    # must run before numpy is imported to take effect on the BLAS pools
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
-        os.environ[var] = str(n)
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 
 # leaves whose value must lie strictly between 0 and 1
@@ -76,9 +70,7 @@ def _check_leaf(where: str, default, value) -> None:
     float but a bool never as an int, and a float must be finite (`json`
     reads `NaN` and `Infinity`) and, for `OPEN_UNIT_LEAVES`, in (0, 1).
     `seed` must be >= 0, as numpy's generators require. `data_dir` is a
-    string or null; `threads` is `_resolve_threads`'s."""
-    if where == "threads":
-        return
+    string or null."""
     if default is None:
         ok, kind = value is None or isinstance(value, str), "a string or null"
     elif isinstance(default, float):
@@ -147,23 +139,6 @@ def _flag_overrides(args) -> dict:
                 node = node.setdefault(parent, {})
             node[key] = value
     return out
-
-
-def _resolve_threads(cfg: dict) -> int:
-    threads = cfg.get("threads")
-    source = "threads / --threads"
-    if threads is None:
-        source = f"${THREADS_ENV}"
-        raw = os.environ.get(THREADS_ENV, "1")
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise CliError(f"{source} must be an integer, got {raw!r}")
-    if not isinstance(threads, int) or isinstance(threads, bool):
-        raise CliError(f"{source} must be an integer, got {threads!r}")
-    if threads < 1:
-        raise CliError(f"{source} must be >= 1, got {threads}")
-    return threads
 
 
 def _load_dataset(cfg: dict, model_cfg) -> tuple[list, dict]:
@@ -253,6 +228,9 @@ def cmd_eval(args, cfg: dict) -> int:
                            f"no split in its manifest")
         train, val = data_io.split_from_manifest(samples, manifest)
         samples = {"train": train, "val": val}[args.split]
+    if not samples:
+        part = f" split {args.split!r}" if args.split else ""
+        raise CliError(f"dataset {cfg['data_dir']}{part} holds no sample to evaluate")
 
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -296,17 +274,16 @@ def cmd_gradcheck(args, cfg: dict) -> int:
 def cmd_synth(args, cfg: dict) -> int:
     from . import data_io
 
+    # only the set flags, so that the defaults live in SynthConfig alone
+    shape = {f.name: getattr(args, f.name)
+             for f in dataclasses.fields(data_io.SynthConfig)
+             if f.name != "seed" and getattr(args, f.name) is not None}
     try:
-        synth = data_io.SynthConfig(
-            count=args.count, size=args.size,
-            blobs_min=args.blobs_min, blobs_max=args.blobs_max,
-            radius_min=args.radius_min, radius_max=args.radius_max,
-            noise_sigma=args.noise_sigma, seed=cfg["seed"],
-        )
+        synth = data_io.SynthConfig(**shape, seed=cfg["seed"])
         synth.validate()
         samples = data_io.gen_synthetic(synth)
         n_train = int(round(cfg["train"]["train_fraction"] * len(samples)))
-        if args.count == 1:
+        if synth.count == 1:
             split_ids = {"train": [samples[0].id], "val": [samples[0].id]}
         else:
             ids = [s.id for s in samples]
@@ -338,17 +315,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # a flag that sets a config key takes the key as its dest, which
-    # --help shows as the metavar, or as the help of a flag with choices
-    def common(p):
+    # --help shows as the metavar, or as the help of a flag with choices;
+    # a subcommand takes only the flags it reads
+    def config_flags(p, seed=True, data=True):
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", dest="seed", type=int)
-        p.add_argument("--data", dest="data_dir", help="dataset directory")
+        if seed:
+            p.add_argument("--seed", dest="seed", type=int)
+        if data:
+            p.add_argument("--data", dest="data_dir", help="dataset directory")
         p.add_argument("--out", dest="out_dir", help="output directory")
-        p.add_argument("--threads", dest="threads", type=int,
-                       help=f"intra-op threads (default ${THREADS_ENV} or 1)")
 
     p_train = sub.add_parser("train", help="train a model")
-    common(p_train)
+    config_flags(p_train)
     p_train.add_argument("--arch", dest="model.arch", choices=["caggnet", "unet"],
                          help="model.arch")
     p_train.add_argument("--levels", dest="model.levels", type=int)
@@ -366,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint")
-    common(p_eval)
+    config_flags(p_eval, seed=False)
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--split", choices=["train", "val"],
                         help="restrict to one manifest split")
@@ -374,36 +352,33 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_eval)
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference check suites")
-    common(p_grad)
     p_grad.add_argument("--scope", choices=["ops", "blocks", "model", "all"],
                         default="all")
     p_grad.add_argument("--json-out", dest="json_out")
     p_grad.set_defaults(func=cmd_gradcheck)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset")
-    common(p_synth)
-    p_synth.add_argument("--count", type=int, default=8)
-    p_synth.add_argument("--size", type=int, default=32)
-    p_synth.add_argument("--blobs-min", dest="blobs_min", type=int, default=1)
-    p_synth.add_argument("--blobs-max", dest="blobs_max", type=int, default=3)
-    p_synth.add_argument("--radius-min", dest="radius_min", type=int, default=3)
-    p_synth.add_argument("--radius-max", dest="radius_max", type=int, default=6)
-    p_synth.add_argument("--noise-sigma", dest="noise_sigma", type=float,
-                         default=0.03)
+    config_flags(p_synth, data=False)
+    p_synth.add_argument("--count", type=int)
+    p_synth.add_argument("--size", type=int)
+    p_synth.add_argument("--blobs-min", dest="blobs_min", type=int)
+    p_synth.add_argument("--blobs-max", dest="blobs_max", type=int)
+    p_synth.add_argument("--radius-min", dest="radius_min", type=int)
+    p_synth.add_argument("--radius-max", dest="radius_max", type=int)
+    p_synth.add_argument("--noise-sigma", dest="noise_sigma", type=float)
     p_synth.set_defaults(func=cmd_synth)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # one BLAS thread, for byte-reproducible runs, unless the caller sized
+    # the pools; it must precede numpy's first import, which neither this
+    # module nor the package __init__ makes
+    if "numpy" not in sys.modules and not os.environ.keys() & BLAS_THREAD_VARS:
+        os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, _flag_overrides(args))
-        # thread pinning must precede the first numpy import; neither
-        # this module nor the package __init__ loads numpy
-        threads = _resolve_threads(cfg)
-        if "numpy" not in sys.modules:
-            _pin_threads(threads)
+        cfg = load_config(getattr(args, "config", None), _flag_overrides(args))
         return args.func(args, cfg)
     except (CliError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -309,7 +309,17 @@ def load_dataset(directory) -> tuple[list[Sample], dict]:
     if not _is_id_list(manifest["ids"]):
         raise ValueError(f"dataset {directory}: {MANIFEST_NAME} 'ids' must be "
                          f"a list of strings")
-    known = set(manifest["ids"])
+    # an id names files under images/ and masks/, and under eval's
+    # pred_masks/, so it must be one plain, unique file name
+    known = set()
+    for sid in manifest["ids"]:
+        if sid in ("", ".", "..") or any(c in sid for c in "/\\\0"):
+            raise ValueError(f"dataset {directory}: {MANIFEST_NAME} id {sid!r} "
+                             f"is not a plain file name")
+        if sid in known:
+            raise ValueError(f"dataset {directory}: {MANIFEST_NAME} lists id "
+                             f"{sid!r} twice")
+        known.add(sid)
     split = manifest.get("split", {"train": [], "val": []})
     if not isinstance(split, dict):
         raise ValueError(f"dataset {directory}: {MANIFEST_NAME} 'split' must be "

@@ -247,9 +247,8 @@ def test_criterion_8_determinism(tmp_path):
     for name in ("r1", "r2"):
         out = tmp_path / name
         code = cli_main(["train", "--data", str(data_dir), "--out", str(out),
-                         "--threads", "1", "--epochs", "3", "--levels", "2",
-                         "--base-channels", "4", "--batch-size", "3",
-                         "--seed", "8"])
+                         "--epochs", "3", "--levels", "2", "--base-channels", "4",
+                         "--batch-size", "3", "--seed", "8"])
         assert code == 0
         tree = {}
         for p in sorted((out / "checkpoint").rglob("*")):

@@ -33,7 +33,7 @@ def dataset(tmp_path):
 
 # dataset manifest corruptions: each makes train and eval exit 1 with a
 # message naming the dataset directory and the missing or mistyped key or
-# the stray id
+# the stray id; "synth-0003-0000" is the `dataset` fixture's first id
 DATASET_CORRUPTIONS = {
     "no-ids": (lambda m: m.pop("ids"), "'ids'"),
     "unknown-split-id": (lambda m: m["split"]["val"].append("ghost"), "ghost"),
@@ -43,6 +43,10 @@ DATASET_CORRUPTIONS = {
     "id-not-a-string": (lambda m: m["ids"].append(5), "'ids'"),
     "split-not-an-object": (lambda m: m.update(split=5), "'split'"),
     "split-part-not-a-list": (lambda m: m["split"].update(val=5), "'val'"),
+    "id-leaves-dir": (lambda m: m["ids"].append("../images/" + m["ids"][0]),
+                      "'../images/synth-0003-0000'"),
+    "duplicate-id": (lambda m: m["ids"].append(m["ids"][0]),
+                     "'synth-0003-0000' twice"),
 }
 
 
@@ -120,11 +124,18 @@ class TestUsageErrors:
     # argparse's own exit code 2 is the CLI's code for divergence, so a
     # usage error must exit 1 with argparse's message naming the problem
     @pytest.mark.parametrize("argv,named", [
+        # the removed thread flag is refused like any unknown flag
         (["synth", "--out", "d", "--threads", "2.7"], "--threads"),
         (["train", "--epochs", "x"], "--epochs"),
         (["train", "--no-such-flag"], "--no-such-flag"),
         (["train", "--arch", "resnet"], "--arch"),
         ([], "command"),
+        # each subcommand takes only the flags it reads
+        (["gradcheck", "--seed", "1"], "--seed"),
+        (["gradcheck", "--out", "d"], "--out"),
+        (["gradcheck", "--config", "c.json"], "--config"),
+        (["eval", "--checkpoint", "ckpt", "--out", "d", "--seed", "1"], "--seed"),
+        (["synth", "--out", "d", "--data", "x"], "--data"),
     ])
     def test_usage_error_exits_1_naming_it(self, tmp_path, capsys, monkeypatch,
                                            argv, named):
@@ -168,6 +179,15 @@ class TestSynth:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert checksum_tree(a) == checksum_tree(b)
+
+    def test_defaults_are_synth_configs(self, tmp_path):
+        from caggnet.data_io import SynthConfig, gen_synthetic, save_dataset
+
+        out, ref = tmp_path / "d", tmp_path / "ref"
+        assert main(["synth", "--out", str(out), "--seed", "5"]) == 0
+        split = json.loads((out / "manifest.json").read_text())["split"]
+        save_dataset(ref, gen_synthetic(SynthConfig(seed=5)), split)
+        assert checksum_tree(out) == checksum_tree(ref)
 
     def test_bad_size_fails_validation(self, tmp_path):
         code = main(["synth", "--out", str(tmp_path / "x"), "--size", "24"])
@@ -314,8 +334,8 @@ class TestTrain:
         outs = []
         for name in ("r1", "r2"):
             out = tmp_path / name
-            assert main(["train", "--data", str(dataset), "--out", str(out),
-                         "--threads", "1"] + self.TRAIN_ARGS) == 0
+            assert main(["train", "--data", str(dataset), "--out", str(out)]
+                        + self.TRAIN_ARGS) == 0
             outs.append(out)
         a = checksum_tree(outs[0] / "checkpoint")
         b = checksum_tree(outs[1] / "checkpoint")
@@ -427,9 +447,6 @@ class TestKnobs:
     }
     WITHOUT_EFFECT = {
         "out_dir": "names where the outputs go, not what they hold",
-        "threads": "sizes the BLAS pools before numpy loads, which an "
-                   "in-process run cannot redo; outputs are not meant to "
-                   "depend on it",
         "model.in_channels": "must equal the dataset's channel count, and "
                              "synth writes one-channel images",
         "loss.clamp_eps": "clips only probabilities within 1e-3 of 0 or 1, "
@@ -696,6 +713,23 @@ class TestEval:
         assert "no dataset: set data_dir" in capsys.readouterr().err
         assert not (tmp_path / "e").exists()
 
+    @pytest.mark.parametrize("case", ["empty-val-split", "no-ids"])
+    def test_nothing_to_evaluate_exits_1_before_writing(self, dataset, tmp_path,
+                                                        capsys, case):
+        ckpt = self.fresh_checkpoint(tmp_path)
+        if case == "no-ids":
+            (dataset / "manifest.json").write_text('{"ids": []}')
+            flags, named = [], str(dataset)
+        else:
+            corrupt_manifest(dataset / "manifest.json",
+                             lambda m: m["split"].update(val=[]))
+            flags, named = ["--split", "val"], f"{dataset} split 'val'"
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(dataset),
+                     "--out", str(tmp_path / "e")] + flags) == 1
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not (tmp_path / "e").exists()
+
     def test_missing_checkpoint_exits_1(self, dataset, tmp_path):
         assert main(["eval", "--checkpoint", str(tmp_path / "nope"),
                      "--data", str(dataset), "--out", str(tmp_path / "e")]) == 1
@@ -740,55 +774,22 @@ class TestThreads:
         "print(early, code, 'numpy' in sys.modules, *[os.environ.get(v) for v in {vars!r}])\n"
     )
 
-    @pytest.mark.parametrize("flag,config,env,expect", [
-        (None, None, None, "1"),
-        (None, None, "3", "3"),
-        (None, 2, "3", "2"),
-        (4, 2, "3", "4"),
-    ])
-    def test_threads_pinned_before_numpy_loads(self, tmp_path, flag, config, env,
-                                               expect):
+    # one BLAS thread unless the caller sets any BLAS variable, which is
+    # then kept as it is
+    @pytest.mark.parametrize("caller,expect", [
+        ({}, ["1"] * 5),
+        ({"OPENBLAS_NUM_THREADS": "3"}, ["None", "3", "None", "None", "None"]),
+    ], ids=["unset", "caller-sets-openblas"])
+    def test_threads_pinned_before_numpy_loads(self, tmp_path, caller, expect):
         args = ["synth", "--out", str(tmp_path / "d"), "--count", "1",
                 "--size", "16"]
-        if flag is not None:
-            args += ["--threads", str(flag)]
-        if config is not None:
-            (tmp_path / "c.json").write_text(json.dumps({"threads": config}))
-            args += ["--config", str(tmp_path / "c.json")]
-        child_env = {k: v for k, v in os.environ.items()
-                     if k not in self.BLAS_VARS and k != "CAGGNET_THREADS"}
+        child_env = {k: v for k, v in os.environ.items() if k not in self.BLAS_VARS}
         child_env["PYTHONPATH"] = str(Path(caggnet.__file__).parents[1])
-        if env is not None:
-            child_env["CAGGNET_THREADS"] = env
+        child_env.update(caller)
         script = self.SCRIPT.format(vars=self.BLAS_VARS)
         done = subprocess.run([sys.executable, "-c", script, *args], env=child_env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         early, code, loaded, *values = done.stdout.splitlines()[-1].split()
         assert (early, code, loaded) == ("False", "0", "True")
-        assert values == [expect] * len(self.BLAS_VARS)
-
-    @pytest.mark.parametrize("config,env,named", [
-        (2.7, None, "threads / --threads"),
-        (True, None, "threads / --threads"),
-        ("2", None, "threads / --threads"),
-        (0, None, "threads / --threads"),
-        (None, "abc", "$CAGGNET_THREADS"),
-        (None, "2.7", "$CAGGNET_THREADS"),
-        (None, "0", "$CAGGNET_THREADS"),
-    ])
-    def test_bad_thread_count_exits_1_naming_its_source(self, tmp_path, capsys,
-                                                         monkeypatch, config, env,
-                                                         named):
-        args = ["synth", "--out", str(tmp_path / "d"), "--count", "1",
-                "--size", "16"]
-        if config is not None:
-            (tmp_path / "c.json").write_text(json.dumps({"threads": config}))
-            args += ["--config", str(tmp_path / "c.json")]
-        monkeypatch.delenv("CAGGNET_THREADS", raising=False)
-        if env is not None:
-            monkeypatch.setenv("CAGGNET_THREADS", env)
-        assert main(args) == 1
-        err = capsys.readouterr().err
-        assert named in err and "Traceback" not in err
-        assert not (tmp_path / "d").exists()
+        assert values == expect
