@@ -3,8 +3,9 @@
 Experiments are driven by a JSON config whose keys are validated
 exhaustively (unknown keys are rejected); a command-line flag overrides
 the config key that its argparse dest names, and each subcommand takes
-only the flags it reads. Every command is deterministic given its config;
-`gradcheck` writes only its --json-out, the others only under --out.
+only the flags and config keys it reads. Every command is deterministic
+given its config; `gradcheck` writes only its --json-out, the others
+only under --out.
 
 Exit codes: 0 success, 1 configuration/data error, 2 training divergence.
 """
@@ -102,7 +103,10 @@ def _merge_config(base: dict, override: dict, path: str = "") -> dict:
     return out
 
 
-def load_config(path: str | None, overrides: dict) -> dict:
+def load_config(path: str | None, overrides: dict, command: str = "train",
+                reads: tuple[str, ...] | None = None) -> dict:
+    """The defaults, then the file at `path`, then `overrides`; the file may
+    set only the leaves in `reads`, those `command` reads (None: all)."""
     cfg = DEFAULT_CONFIG
     if path is not None:
         try:
@@ -114,6 +118,9 @@ def load_config(path: str | None, overrides: dict) -> dict:
             raise CliError(f"config file {path} is not valid JSON: {e}")
         if not isinstance(user, dict):
             raise CliError("config root must be a JSON object")
+        for leaf in _leaves(user):
+            if reads is not None and leaf not in reads:
+                raise CliError(f"config key {leaf!r} is not read by {command}")
         cfg = _merge_config(cfg, user)
     return _merge_config(cfg, overrides)
 
@@ -300,11 +307,18 @@ def cmd_synth(args, cfg: dict) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit 1, like every other bad input, not argparse's 2,
-    which this CLI keeps for divergence. Subparsers inherit the class."""
+    which this CLI keeps for divergence. Subparsers inherit the class, and
+    each refuses its own unknown arguments, so the usage shown is its own."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     # a flag that sets a config key takes the key as its dest, which
     # --help shows as the metavar, or as the help of a flag with choices;
-    # a subcommand takes only the flags it reads
+    # a subcommand takes only the flags it reads, and its config file only
+    # the leaves in its `reads` (None: every leaf)
     def config_flags(p, seed=True, data=True):
         p.add_argument("--config", help="JSON config file")
         if seed:
@@ -341,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--epochs", dest="train.epochs_max", type=int)
     p_train.add_argument("--batch-size", dest="train.batch_size", type=int)
     p_train.add_argument("--patience", dest="train.patience", type=int)
-    p_train.set_defaults(func=cmd_train)
+    p_train.set_defaults(func=cmd_train, reads=None)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint")
     config_flags(p_eval, seed=False)
@@ -349,13 +364,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--split", choices=["train", "val"],
                         help="restrict to one manifest split")
     p_eval.add_argument("--dump-masks", action="store_true")
-    p_eval.set_defaults(func=cmd_eval)
+    p_eval.set_defaults(func=cmd_eval, reads=("data_dir", "out_dir", "train.threshold"))
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference check suites")
     p_grad.add_argument("--scope", choices=["ops", "blocks", "model", "all"],
                         default="all")
     p_grad.add_argument("--json-out", dest="json_out")
-    p_grad.set_defaults(func=cmd_gradcheck)
+    p_grad.set_defaults(func=cmd_gradcheck, reads=())
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset")
     config_flags(p_synth, data=False)
@@ -366,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--radius-min", dest="radius_min", type=int)
     p_synth.add_argument("--radius-max", dest="radius_max", type=int)
     p_synth.add_argument("--noise-sigma", dest="noise_sigma", type=float)
-    p_synth.set_defaults(func=cmd_synth)
+    p_synth.set_defaults(func=cmd_synth, reads=("seed", "out_dir", "train.train_fraction"))
     return parser
 
 
@@ -378,7 +393,8 @@ def main(argv=None) -> int:
         os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(getattr(args, "config", None), _flag_overrides(args))
+        cfg = load_config(getattr(args, "config", None), _flag_overrides(args),
+                          args.command, args.reads)
         return args.func(args, cfg)
     except (CliError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

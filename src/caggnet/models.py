@@ -201,7 +201,6 @@ def _init_wab(store: ParamStore, name: str, c: int, r: int,
     return WabParams(
         fc1=_init_conv(store, f"{name}.fc1", c, c // r, 1, rng, dtype),
         fc2=_init_conv(store, f"{name}.fc2", c // r, c, 1, rng, dtype),
-        reduction=r,
     )
 
 

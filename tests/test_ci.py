@@ -1,0 +1,60 @@
+"""The CI workflow is well formed: GitHub Actions refuses a mapping that
+names a key twice, while a plain YAML loader keeps the last value and so
+hides a step that was written over."""
+
+from pathlib import Path
+
+import pytest
+
+yaml = pytest.importorskip("yaml")
+
+WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+
+
+class UniqueKeyLoader(yaml.SafeLoader):
+    """SafeLoader that raises on a key repeated within one mapping."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            key = self.construct_object(key_node, deep=deep)
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"duplicate key {key!r}", key_node.start_mark)
+            seen.add(key)
+        return super().construct_mapping(node, deep)
+
+
+def load(text: str):
+    return yaml.load(text, Loader=UniqueKeyLoader)
+
+
+def workflow_steps() -> list[dict]:
+    jobs = load(WORKFLOW.read_text())["jobs"]
+    return [step for job in jobs.values() for step in job["steps"]]
+
+
+def test_loader_rejects_a_repeated_key():
+    text = ("steps:\n"
+            "  - name: CLI end to end\n"
+            "    run: python -m caggnet.cli synth\n"
+            "    run: python3 -m pytest -q bench/selftest.py\n")
+    with pytest.raises(yaml.constructor.ConstructorError, match="'run'"):
+        load(text)
+
+
+def test_step_names_are_unique():
+    names = [step["name"] for step in workflow_steps() if "name" in step]
+    assert names and len(names) == len(set(names))
+
+
+def test_each_step_has_one_run_or_uses():
+    for step in workflow_steps():
+        assert len(step.keys() & {"run", "uses"}) == 1, step
+
+
+def test_ci_installs_yaml():
+    # otherwise these checks would skip in CI
+    install = next(step["run"] for step in workflow_steps()
+                   if step.get("name") == "Install test dependencies")
+    assert "pyyaml" in install.split()

@@ -123,6 +123,8 @@ class TestConfig:
 class TestUsageErrors:
     # argparse's own exit code 2 is the CLI's code for divergence, so a
     # usage error must exit 1 with argparse's message naming the problem
+    # and it prints the usage of the subcommand it belongs to, or the
+    # root's when it comes before any subcommand
     @pytest.mark.parametrize("argv,named", [
         # the removed thread flag is refused like any unknown flag
         (["synth", "--out", "d", "--threads", "2.7"], "--threads"),
@@ -136,6 +138,7 @@ class TestUsageErrors:
         (["gradcheck", "--config", "c.json"], "--config"),
         (["eval", "--checkpoint", "ckpt", "--out", "d", "--seed", "1"], "--seed"),
         (["synth", "--out", "d", "--data", "x"], "--data"),
+        (["--no-such-flag", "train"], "--no-such-flag"),
     ])
     def test_usage_error_exits_1_naming_it(self, tmp_path, capsys, monkeypatch,
                                            argv, named):
@@ -145,6 +148,9 @@ class TestUsageErrors:
         assert exc.value.code == 1
         err = capsys.readouterr().err
         assert "error:" in err and named in err and "Traceback" not in err
+        prog = f"caggnet {argv[0]}" if argv and not argv[0].startswith("-") else "caggnet"
+        assert err.startswith(f"usage: {prog} [-h]")
+        assert f"\n{prog}: error: " in err
         assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize("argv", [["--help"], ["train", "--help"]])
@@ -214,6 +220,36 @@ class TestSynth:
         err = capsys.readouterr().err
         assert "config key 'seed'" in err and "Traceback" not in err
         assert not (tmp_path / "d").exists()
+
+
+    @pytest.mark.parametrize("config,named", [
+        ({"data_dir": "x"}, "'data_dir'"),
+        ({"model": {"arch": "unet"}}, "'model.arch'"),
+        ({"train": {"threshold": 0.3}}, "'train.threshold'"),
+        ({"no_such_key": 1}, "'no_such_key'"),
+    ])
+    def test_key_synth_does_not_read_exits_1_naming_it(self, tmp_path, capsys,
+                                                       config, named):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "d"),
+                     "--count", "4", "--size", "16"]) == 1
+        err = capsys.readouterr().err
+        assert named in err and "synth" in err and "Traceback" not in err
+        assert not (tmp_path / "d").exists()
+
+    def test_reads_its_config_keys(self, tmp_path):
+        out = tmp_path / "d"
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"seed": 5, "out_dir": str(out),
+                                   "train": {"train_fraction": 0.5}}))
+        assert main(["synth", "--config", str(cfg), "--count", "4",
+                     "--size", "16"]) == 0
+        assert main(["synth", "--out", str(tmp_path / "ref"), "--count", "4",
+                     "--size", "16", "--seed", "5"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert len(manifest["split"]["train"]) == 2
+        assert checksum_tree(out / "images") == checksum_tree(tmp_path / "ref" / "images")
 
 
 class TestTrain:
@@ -559,6 +595,36 @@ class TestEval:
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
         assert not (tmp_path / "e").exists()
+
+    @pytest.mark.parametrize("config,named", [
+        ({"model": {"levels": 7}}, "'model.levels'"),
+        ({"seed": 1}, "'seed'"),
+        ({"train": {"epochs_max": 3}}, "'train.epochs_max'"),
+        ({"no_such_key": 1}, "'no_such_key'"),
+    ])
+    def test_key_eval_does_not_read_exits_1_naming_it(self, dataset, tmp_path,
+                                                      capsys, config, named):
+        # so a train run's config.json is not an eval config
+        ckpt = self.fresh_checkpoint(tmp_path)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt),
+                     "--data", str(dataset), "--out", str(tmp_path / "e")]) == 1
+        err = capsys.readouterr().err
+        assert named in err and "eval" in err and "Traceback" not in err
+        assert not (tmp_path / "e").exists()
+
+    def test_reads_its_config_keys(self, dataset, tmp_path):
+        ckpt = self.fresh_checkpoint(tmp_path)
+        reports = {}
+        for threshold in (0.5, 0.02):
+            out = tmp_path / f"e{threshold}"
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps({"data_dir": str(dataset), "out_dir": str(out),
+                                       "train": {"threshold": threshold}}))
+            assert main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt)]) == 0
+            reports[threshold] = (out / "metrics.csv").read_bytes()
+        assert reports[0.5] != reports[0.02]
 
     def fresh_checkpoint(self, tmp_path):
         from caggnet.models import ModelConfig, build_caggnet, save_checkpoint

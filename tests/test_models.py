@@ -196,6 +196,38 @@ class TestForward:
         assert np.array_equal(got, expect.value)
 
 
+class TestBuilderGrid:
+    """Every shape a block reads comes from a builder, which no block
+    re-checks: across a grid of configs, both archs must run an eval
+    forward and a training step end to end."""
+
+    @pytest.mark.parametrize("levels", [2, 3, 4])
+    @pytest.mark.parametrize("builder", [build_caggnet, build_unet])
+    def test_eval_forward_and_training_step(self, rng, builder, levels):
+        from caggnet.train import FocalLossConfig, traced_focal_loss
+
+        side = 1 << (levels - 1)  # the smallest legal image
+        for columns in (1, 2, 3):
+            for base_channels, wab_reduction in ((2, 1), (4, 2), (8, 4)):
+                for in_channels in (1, 3):
+                    model = builder(ModelConfig(
+                        levels=levels, columns=columns, base_channels=base_channels,
+                        in_channels=in_channels, wab_reduction=wab_reduction))
+                    x = Tensor4(rng.uniform(0, 1, size=(2, in_channels, side, side))
+                                .astype(np.float32))
+                    probs = forward(model, x).probs.data
+                    assert probs.shape == (2, 1, side, side)
+                    assert np.all((probs >= 0) & (probs <= 1))
+
+                    fp = forward(model, x, training=True)
+                    target = (rng.random((2, 1, side, side)) < 0.5).astype(np.float32)
+                    loss = traced_focal_loss(fp.probs_var, target,
+                                             FocalLossConfig(alpha=0.25, gamma=2.0))
+                    grad = model.params.apply_grads(fp.tape, backward(fp.tape, loss))
+                    assert grad.shape == (model.params.trainable_count(),)
+                    assert np.all(np.isfinite(grad))
+
+
 class TestNoGradForward:
     @pytest.mark.parametrize("builder", [build_caggnet, build_unet])
     def test_eval_forward_records_nothing(self, rng, tiny_cfg, builder):

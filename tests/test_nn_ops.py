@@ -112,10 +112,6 @@ class TestConv2d:
         with pytest.raises(ShapeError, match="channel"):
             conv2d(x, p)
 
-    def test_kernel_size_restricted(self, rng):
-        with pytest.raises(ShapeError):
-            conv_params(rng.normal(size=(1, 1, 5, 5)))
-
     @pytest.mark.parametrize("k", [1, 3])
     def test_matches_reference_bitwise(self, rng, k):
         for _ in range(10):
