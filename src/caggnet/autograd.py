@@ -190,8 +190,14 @@ class CheckReport:
         })
 
 
-def finite_diff_check(f, params: Mapping[str, np.ndarray], eps: float = 1e-5,
-                      tol: float = 1e-4, max_coords: int = 256, rng=None,
+# `finite_diff_check`'s step, tolerance, sample size and sample seed
+FD_EPS = 1e-5
+FD_TOL = 1e-4
+FD_MAX_COORDS = 256
+FD_SEED = 0
+
+
+def finite_diff_check(f, params: Mapping[str, np.ndarray],
                       name: str = "loss") -> CheckReport:
     """Compare tape gradients against central finite differences.
 
@@ -200,15 +206,13 @@ def finite_diff_check(f, params: Mapping[str, np.ndarray], eps: float = 1e-5,
     once, returning ``(loss, grads)`` with grads keyed by parameter name
     (missing keys mean zero), and as ``f(params)`` for plain evaluations.
     Parameters must be float64; each coordinate is perturbed in place by
-    +-eps and the central difference (f(p+eps) - f(p-eps)) / (2 eps) is
-    compared to the tape gradient using the relative error
-    |a-b| / max(1, |a|, |b|).
-    At most `max_coords` randomly sampled coordinates are checked per
+    +-FD_EPS and the central difference (f(p+eps) - f(p-eps)) / (2 eps)
+    is compared to the tape gradient using the relative error
+    |a-b| / max(1, |a|, |b|), which passes up to FD_TOL. At most
+    FD_MAX_COORDS coordinates, sampled with seed FD_SEED, are checked per
     parameter (all of them when the parameter is small enough).
     """
-    if not (1e-6 <= eps <= 1e-3):
-        raise AutogradError(f"eps={eps} outside [1e-6, 1e-3]")
-    rng = np.random.default_rng(0) if rng is None else rng
+    rng = np.random.default_rng(FD_SEED)
     for pname, arr in params.items():
         if arr.dtype != np.float64:
             raise AutogradError(
@@ -223,10 +227,10 @@ def finite_diff_check(f, params: Mapping[str, np.ndarray], eps: float = 1e-5,
     worst = ("", -1)
     for pname, arr in params.items():
         size = arr.size
-        if size <= max_coords:
+        if size <= FD_MAX_COORDS:
             coords = np.arange(size)
         else:
-            coords = np.sort(rng.choice(size, size=max_coords, replace=False))
+            coords = np.sort(rng.choice(size, size=FD_MAX_COORDS, replace=False))
         flat = arr.reshape(-1)
         gflat = None
         g = grads.get(pname)
@@ -234,20 +238,20 @@ def finite_diff_check(f, params: Mapping[str, np.ndarray], eps: float = 1e-5,
             gflat = g.reshape(-1)
         for idx in coords:
             orig = flat[idx]
-            flat[idx] = orig + eps
+            flat[idx] = orig + FD_EPS
             lp = f(params)
-            flat[idx] = orig - eps
+            flat[idx] = orig - FD_EPS
             lm = f(params)
             flat[idx] = orig
             if not (math.isfinite(lp) and math.isfinite(lm)):
                 raise AutogradError(
                     f"non-finite evaluation while perturbing {pname}[{idx}]"
                 )
-            fd = (lp - lm) / (2.0 * eps)
+            fd = (lp - lm) / (2.0 * FD_EPS)
             tg = 0.0 if gflat is None else float(gflat[idx])
             rel = abs(fd - tg) / max(1.0, abs(fd), abs(tg))
             if rel > max_rel:
                 max_rel = rel
                 worst = (pname, int(idx))
     return CheckReport(op=name, max_rel_err=max_rel, worst_coord=worst,
-                       passed=max_rel <= tol)
+                       passed=max_rel <= FD_TOL)

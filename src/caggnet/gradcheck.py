@@ -90,7 +90,7 @@ def _weighted_scalar(out, rng: np.random.Generator):
 
 
 def _run_check(name, params, build) -> CheckReport:
-    """Run at `finite_diff_check`'s default step, tolerance and coordinate sample."""
+    """Check the loss that `build(params)` returns by finite differences."""
     def f(p, need_grad=False):
         loss_var, leaves = build(p)
         val = float(loss_var.value.reshape(()))

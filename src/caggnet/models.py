@@ -14,7 +14,8 @@ with the top and bottom rows dropping the missing neighbor. In this
 left-to-right, top-down order every input of a node is computed before
 the node, so the wiring is an acyclic grid. The head applies channel
 attention per level to the last column and fuses bottom-up into a
-probability map.
+probability map. This module also owns the checkpoint format: a JSON
+manifest and ``params.bin``, the raw parameter values.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .blocks import (
 )
 from .data_io import read_manifest
 from .functional import BatchNormState
-from .tensor_core import DTYPE_OF_TAG, ShapeError, Tensor4, read_tensor, write_tensor
+from .tensor_core import DTYPE_OF_TAG, ShapeError, Tensor4, TensorError
 
 
 class ConfigError(ValueError):
@@ -390,16 +391,19 @@ def forward(model, x: Tensor4, training: bool = False) -> ForwardPass:
 # --- checkpointing ----------------------------------------------------------
 
 CHECKPOINT_MANIFEST = "manifest.json"
-CHECKPOINT_PARAMS = "params.t4"
-CHECKPOINT_FORMAT = 3
+CHECKPOINT_PARAMS = "params.bin"
+CHECKPOINT_FORMAT = 4
+_PARAMS_DTYPE = {"single": np.dtype("<f4"), "double": np.dtype("<f8")}
 _JSON_NAME = {str: "string", int: "integer", dict: "object", list: "array"}
 
 
 def save_checkpoint(directory, model) -> None:
     """Write ``manifest.json`` (format, arch, config, parameter names) and
-    ``params.t4``, every parameter and buffer flattened into one
-    (1, 1, 1, N) dump in `ParamStore` construction order. The loader
-    splits the dump by that order: changing it must bump CHECKPOINT_FORMAT.
+    ``params.bin``: every parameter and buffer in `ParamStore`
+    construction order, as raw little-endian values in the config's
+    precision, with no header. The loader splits it by that order:
+    changing the order or the encoding must bump CHECKPOINT_FORMAT. A
+    non-finite value is refused.
 
     The files go into a fresh ``.<name>.tmp``; the old checkpoint is then
     renamed to ``.<name>.old``, the new one renamed in and the old one
@@ -413,7 +417,10 @@ def save_checkpoint(directory, model) -> None:
     tmp.mkdir(parents=True)
     try:
         flat = np.concatenate([p.value.reshape(-1) for _, p in model.params.items()])
-        write_tensor(tmp / CHECKPOINT_PARAMS, Tensor4(flat.reshape(1, 1, 1, -1)))
+        if not np.isfinite(flat).all():
+            raise TensorError(f"checkpoint {directory}: a parameter holds NaN or Inf")
+        (tmp / CHECKPOINT_PARAMS).write_bytes(
+            flat.astype(_PARAMS_DTYPE[model.cfg.dtype], copy=False).tobytes())
         manifest = {"format": CHECKPOINT_FORMAT, "arch": model.arch,
                     "config": asdict(model.cfg), "params": model.params.names()}
         (tmp / CHECKPOINT_MANIFEST).write_text(
@@ -430,14 +437,14 @@ def save_checkpoint(directory, model) -> None:
 
 
 def load_checkpoint(directory):
-    """Rebuild a model from a checkpoint directory; ``params.t4`` is split
-    by the rebuilt model's parameter sizes, in construction order. A
-    negative batch-norm running variance is rejected, naming it."""
+    """Rebuild a model from a checkpoint directory; ``params.bin`` must hold
+    exactly the rebuilt model's values, split in construction order. A
+    non-finite value or a negative running variance names its parameter."""
     directory = Path(directory)
     manifest = read_manifest(directory / CHECKPOINT_MANIFEST)
     if manifest.get("format") != CHECKPOINT_FORMAT:
-        raise ConfigError(f"checkpoint {directory} has format "
-                          f"{manifest.get('format')!r}; expected {CHECKPOINT_FORMAT}")
+        raise ConfigError(f"checkpoint {directory} has format {manifest.get('format')!r}; "
+                          f"expected {CHECKPOINT_FORMAT}, raw values in {CHECKPOINT_PARAMS!r}")
     for key, kind in (("arch", str), ("config", dict), ("params", list)):
         if key not in manifest:
             raise ConfigError(f"checkpoint {directory} manifest has no {key!r}")
@@ -465,15 +472,19 @@ def load_checkpoint(directory):
         got, want = (repr(x[at]) if at < len(x) else "no name" for x in (listed, names))
         raise ConfigError(f"checkpoint {directory} manifest 'params' has {got} at "
                           f"position {at}, where the {model.arch} model has {want}")
-    dump = read_tensor(directory / CHECKPOINT_PARAMS)
+    raw = (directory / CHECKPOINT_PARAMS).read_bytes()
+    dtype = _PARAMS_DTYPE[cfg.dtype]
     sizes = [p.value.size for _, p in model.params.items()]
-    if (dump.dtype_tag, dump.shape.count) != (cfg.dtype, sum(sizes)):
+    if len(raw) != sum(sizes) * dtype.itemsize:
         raise ConfigError(f"checkpoint {directory} {CHECKPOINT_PARAMS!r} holds "
-                          f"{dump.shape.count} {dump.dtype_tag} values; the model "
-                          f"has {sum(sizes)} {cfg.dtype}")
-    parts = np.split(dump.data.reshape(-1), np.cumsum(sizes)[:-1])
+                          f"{len(raw)} bytes; the model's {sum(sizes)} {cfg.dtype} "
+                          f"values take {sum(sizes) * dtype.itemsize}")
+    parts = np.split(np.frombuffer(raw, dtype=dtype), np.cumsum(sizes)[:-1])
     values = {}
     for (name, p), part in zip(model.params.items(), parts):
+        if not np.isfinite(part).all():
+            raise ConfigError(f"checkpoint {directory} {CHECKPOINT_PARAMS!r} holds a "
+                              f"non-finite value in {name!r}")
         if name.endswith(".running_var") and np.any(part < 0):
             raise ConfigError(f"checkpoint {directory} {CHECKPOINT_PARAMS!r} holds a "
                               f"negative variance in {name!r}")

@@ -205,7 +205,6 @@ class TrainingLog:
     seconds: list[float] = field(default_factory=list)
     best_epoch: int = -1
     best_val_iou: float = float("-inf")
-    stopped_early: bool = False
 
     def write_csv(self, path) -> None:
         # wall-clock timing goes to a sidecar so this file is
@@ -242,6 +241,13 @@ def check_loop_args(train_samples, val_samples, epochs_max: int,
         raise ValueError("batch_size must be >= 1")
     if epochs_max < 1:
         raise ValueError(f"epochs_max must be >= 1, got {epochs_max}")
+    first = train_samples[0]
+    size = (first.image.h, first.image.w)
+    odd = next((s for s in train_samples if (s.image.h, s.image.w) != size), None)
+    if batch_size > 1 and odd is not None:
+        raise ValueError(f"batch_size {batch_size} stacks training images of one "
+                         f"size, but sample {odd.id!r} is {odd.image.h}x{odd.image.w} "
+                         f"and sample {first.id!r} is {size[0]}x{size[1]}")
 
 
 def _train_step(model, x, y, loss_fn, optimizer: AdamState, epoch: int) -> float:
@@ -307,7 +313,6 @@ def train_loop(model, train_samples, val_samples, loss_fn,
         if stop_at_iou is not None and row.val_iou >= stop_at_iou:
             break
         if stopper.should_stop:
-            log.stopped_early = True
             break
 
     model.params.load_values(best_values)

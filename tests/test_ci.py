@@ -2,13 +2,15 @@
 names a key twice, while a plain YAML loader keeps the last value and so
 hides a step that was written over."""
 
+import re
 from pathlib import Path
 
 import pytest
 
 yaml = pytest.importorskip("yaml")
 
-WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+ROOT = Path(__file__).resolve().parents[1]
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 
 
 class UniqueKeyLoader(yaml.SafeLoader):
@@ -53,8 +55,21 @@ def test_each_step_has_one_run_or_uses():
         assert len(step.keys() & {"run", "uses"}) == 1, step
 
 
+def install_step() -> list[str]:
+    return next(step["run"] for step in workflow_steps()
+                if step.get("name") == "Install test dependencies").split()
+
+
 def test_ci_installs_yaml():
     # otherwise these checks would skip in CI
-    install = next(step["run"] for step in workflow_steps()
-                   if step.get("name") == "Install test dependencies")
-    assert "pyyaml" in install.split()
+    assert "pyyaml" in install_step()
+
+
+def test_ci_installs_the_test_extra():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    installed = install_step()
+    for requirement in project["optional-dependencies"]["test"]:
+        # the package name, without a version bound or extras
+        package = re.match(r"[A-Za-z0-9._-]+", requirement).group(0).lower()
+        assert package in installed, requirement

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 import caggnet
 from caggnet.cli import DEFAULT_CONFIG, CliError, build_parser, load_config, main
-from caggnet.tensor_core import Tensor4, read_tensor, write_tensor
 
 
 def checksum_tree(root: Path) -> dict[str, bytes]:
@@ -81,8 +80,8 @@ def corrupt_netpbm(dataset: Path, kind: str, case: str) -> Path:
 
 
 def negate_first_running_var(path: Path) -> None:
-    """Set the first batch-norm running variance in a checkpoint's dump
-    to -1."""
+    """Set the first batch-norm running variance in a single-precision
+    checkpoint's ``params.bin`` to -1."""
     from caggnet.models import load_checkpoint
 
     start = 0
@@ -90,9 +89,9 @@ def negate_first_running_var(path: Path) -> None:
         if name.endswith(".running_var"):
             break
         start += p.value.size
-    data = read_tensor(path).data.copy()
-    data.reshape(-1)[start] = -1.0
-    write_tensor(path, Tensor4(data))
+    data = np.frombuffer(path.read_bytes(), dtype="<f4").copy()
+    data[start] = -1.0
+    path.write_bytes(data.tobytes())
 
 
 class TestConfig:
@@ -365,6 +364,23 @@ class TestTrain:
         err = capsys.readouterr().err
         assert str(path) in err and "Traceback" not in err
         assert not (tmp_path / "r").exists()
+
+    def test_mixed_image_sizes_need_batch_size_1(self, tmp_path, capsys):
+        from caggnet.data_io import SynthConfig, gen_synthetic, save_dataset
+
+        small = gen_synthetic(SynthConfig(count=6, size=32, seed=1))
+        large = gen_synthetic(SynthConfig(count=2, size=64, seed=2))
+        data = tmp_path / "data"
+        save_dataset(data, small + large, {"train": [s.id for s in small[1:] + large],
+                                           "val": [small[0].id]})
+        args = ["train", "--data", str(data), "--epochs", "1", "--levels", "2",
+                "--base-channels", "2"]
+        assert main(args + ["--out", str(tmp_path / "r"), "--batch-size", "8"]) == 1
+        err = capsys.readouterr().err
+        assert repr(large[0].id) in err and "64x64" in err and "32x32" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "r").exists()
+        assert main(args + ["--out", str(tmp_path / "r1"), "--batch-size", "1"]) == 0
 
     def test_deterministic_reruns(self, dataset, tmp_path):
         outs = []
@@ -686,6 +702,7 @@ class TestEval:
             0, {"name": m["params"][0]}), "position 0"),
         "format-1": (lambda m: m.update(format=1), "format 1"),
         "format-2": (lambda m: m.update(format=2), "format 2"),
+        "format-3": (lambda m: m.update(format=3), "format 3"),
     }
 
     @pytest.mark.parametrize("case", sorted(CHECKPOINT_CORRUPTIONS))
@@ -699,30 +716,28 @@ class TestEval:
         assert str(ckpt) in err and named in err
         assert not (tmp_path / "e").exists()
 
-    # corruptions of the parameter dump of a single-precision checkpoint:
-    # each must exit 1 naming the dump
+    # corruptions of the raw little-endian float32 values of a
+    # single-precision checkpoint: each must exit 1 naming the file
     DUMP_CORRUPTIONS = {
         "missing": lambda path: path.unlink(),
         "truncated": lambda path: path.write_bytes(path.read_bytes()[:-3]),
-        "float64": lambda path: write_tensor(
-            path, Tensor4(read_tensor(path).data.astype(np.float64))),
-        "extra-value": lambda path: write_tensor(
-            path, Tensor4(np.append(read_tensor(path).data, 0).reshape(1, 1, 1, -1))),
-        # the first value after the 17-byte header
+        "float64": lambda path: path.write_bytes(
+            np.frombuffer(path.read_bytes(), dtype="<f4").astype("<f8").tobytes()),
+        "extra-value": lambda path: path.write_bytes(
+            path.read_bytes() + np.zeros(1, dtype="<f4").tobytes()),
         "nan": lambda path: path.write_bytes(
-            path.read_bytes()[:17] + np.float32(np.nan).tobytes()
-            + path.read_bytes()[21:]),
+            np.full(1, np.nan, dtype="<f4").tobytes() + path.read_bytes()[4:]),
         "negative-running-var": negate_first_running_var,
     }
 
     @pytest.mark.parametrize("case", sorted(DUMP_CORRUPTIONS))
     def test_bad_checkpoint_dump_exits_1(self, dataset, tmp_path, capsys, case):
         ckpt = self.fresh_checkpoint(tmp_path)
-        self.DUMP_CORRUPTIONS[case](ckpt / "params.t4")
+        self.DUMP_CORRUPTIONS[case](ckpt / "params.bin")
         assert main(["eval", "--checkpoint", str(ckpt), "--data", str(dataset),
                      "--out", str(tmp_path / "e")]) == 1
         err = capsys.readouterr().err
-        assert str(ckpt) in err and "params.t4" in err and "Traceback" not in err
+        assert str(ckpt) in err and "params.bin" in err and "Traceback" not in err
         assert not (tmp_path / "e").exists()
 
     @pytest.mark.parametrize("case", sorted(DATASET_CORRUPTIONS))

@@ -278,6 +278,10 @@ class TestNoGradForward:
             backward(fp.tape, loss)
 
 
+# the encoding of params.bin per model precision
+RAW_DTYPE = {"single": "<f4", "double": "<f8"}
+
+
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path, rng, tiny_cfg):
         model = build_caggnet(tiny_cfg)
@@ -339,7 +343,7 @@ class TestCheckpoint:
         save_checkpoint(tmp_path / "ckpt", model)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt"]
         assert sorted(p.name for p in (tmp_path / "ckpt").iterdir()) == \
-            ["manifest.json", "params.t4"]
+            ["manifest.json", "params.bin"]
 
     def test_save_replaces_an_older_directory(self, tmp_path, tiny_cfg):
         # a format-1 checkpoint held one p####.t4 dump per parameter
@@ -349,7 +353,7 @@ class TestCheckpoint:
             (ckpt / name).write_bytes(b"old")
         model = build_caggnet(tiny_cfg)
         save_checkpoint(ckpt, model)
-        assert sorted(p.name for p in ckpt.iterdir()) == ["manifest.json", "params.t4"]
+        assert sorted(p.name for p in ckpt.iterdir()) == ["manifest.json", "params.bin"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt"]
         assert load_checkpoint(ckpt).params.names() == model.params.names()
 
@@ -360,11 +364,13 @@ class TestCheckpoint:
         save_checkpoint(ckpt, first)
         before = {p.name: p.read_bytes() for p in ckpt.iterdir()}
 
-        def broken_write(path, x):
-            Path(path).write_bytes(b"half")
+        write_bytes = Path.write_bytes
+
+        def broken_write(path, data):
+            write_bytes(path, data[:len(data) // 2])
             raise OSError("disk full")
 
-        monkeypatch.setattr(models, "write_tensor", broken_write)
+        monkeypatch.setattr(Path, "write_bytes", broken_write)
         second = build_unet(ModelConfig(levels=2, base_channels=2, seed=9))
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(ckpt, second)
@@ -374,10 +380,50 @@ class TestCheckpoint:
         for (_, p1), (_, p2) in zip(first.params.items(), loaded.params.items()):
             assert p1.value.tobytes() == p2.value.tobytes()
 
+    def test_non_finite_value_refused_and_previous_kept(self, tmp_path, tiny_cfg):
+        ckpt = tmp_path / "ckpt"
+        model = build_caggnet(tiny_cfg)
+        save_checkpoint(ckpt, model)
+        before = {p.name: p.read_bytes() for p in ckpt.iterdir()}
+        model.params["cam1_0.bn2.beta"].value[0] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            save_checkpoint(ckpt, model)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt"]
+        assert {p.name: p.read_bytes() for p in ckpt.iterdir()} == before
+
+    @pytest.mark.parametrize("build", [build_caggnet, build_unet])
+    @pytest.mark.parametrize("dtype", ["single", "double"])
+    def test_params_bin_holds_raw_values_in_order(self, tmp_path, rng, build, dtype):
+        model = build(ModelConfig(levels=2, columns=1, base_channels=2, seed=3,
+                                  dtype=dtype))
+        for _, p in model.params.items():
+            p.value += (rng.normal(size=p.value.shape) * 0.01).astype(p.value.dtype)
+        save_checkpoint(tmp_path / "ckpt", model)
+        # no header: each value in construction order, little-endian
+        expected = b"".join(np.asarray(p.value, dtype=RAW_DTYPE[dtype]).tobytes()
+                            for _, p in model.params.items())
+        assert (tmp_path / "ckpt" / "params.bin").read_bytes() == expected
+
+    @pytest.mark.parametrize("dtype", ["single", "double"])
+    @pytest.mark.parametrize("keep", ["0", "1", "item-1", "len-1"])
+    def test_truncated_params_bin_names_it(self, tmp_path, dtype, keep):
+        cfg = ModelConfig(levels=2, columns=1, base_channels=2, seed=3, dtype=dtype)
+        ckpt = tmp_path / "ckpt"
+        save_checkpoint(ckpt, build_caggnet(cfg))
+        blob = (ckpt / "params.bin").read_bytes()
+        item = np.dtype(RAW_DTYPE[dtype]).itemsize
+        kept = {"0": 0, "1": 1, "item-1": item - 1, "len-1": len(blob) - 1}[keep]
+        (ckpt / "params.bin").write_bytes(blob[:kept])
+        with pytest.raises(ConfigError) as exc:
+            load_checkpoint(ckpt)
+        msg = str(exc.value)
+        assert str(ckpt) in msg and "params.bin" in msg
+        assert f"{kept} bytes" in msg and str(len(blob)) in msg
+
     def test_leftover_siblings_are_cleared(self, tmp_path, tiny_cfg):
         # what a save cut off by a crash leaves behind
         for name in (".ckpt.tmp", ".ckpt.old"):
             (tmp_path / name).mkdir()
-            (tmp_path / name / "params.t4").write_bytes(b"stale")
+            (tmp_path / name / "params.bin").write_bytes(b"stale")
         save_checkpoint(tmp_path / "ckpt", build_caggnet(tiny_cfg))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt"]

@@ -2,19 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from caggnet import functional as F
 from caggnet.autograd import RULES, Tape
-from caggnet.tensor_core import (
-    Shape4,
-    ShapeError,
-    Tensor4,
-    TensorError,
-    read_tensor,
-    write_tensor,
-    zeros,
-)
+from caggnet.tensor_core import ShapeError, Tensor4, TensorError
 
 
 def eager(op, *arrays):
@@ -39,22 +30,6 @@ def t4(data, dtype=np.float64):
     return Tensor4(np.array(data, dtype=dtype))
 
 
-class TestShape4:
-    def test_valid(self):
-        s = Shape4(2, 3, 4, 4)
-        assert s.count == 96
-        assert s.as_tuple() == (2, 3, 4, 4)
-
-    @pytest.mark.parametrize("args", [(0, 1, 1, 1), (1, -1, 1, 1), (1, 1, 0, 1)])
-    def test_nonpositive_extent(self, args):
-        with pytest.raises(ShapeError):
-            Shape4(*args)
-
-    def test_element_count_overflow(self):
-        with pytest.raises(ShapeError):
-            Shape4(1 << 20, 1 << 20, 1 << 20, 1)
-
-
 class TestTensor4:
     def test_rejects_nan_and_inf(self):
         with pytest.raises(TensorError):
@@ -65,6 +40,12 @@ class TestTensor4:
     def test_rejects_non_4d(self):
         with pytest.raises(ShapeError):
             Tensor4(np.zeros((2, 2), dtype=np.float64))
+
+    @pytest.mark.parametrize("shape", [(0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1),
+                                       (1, 1, 1, 0)])
+    def test_rejects_zero_extent(self, shape):
+        with pytest.raises(ShapeError):
+            Tensor4(np.zeros(shape))
 
     def test_rejects_int_dtype(self):
         with pytest.raises(TensorError):
@@ -78,14 +59,6 @@ class TestTensor4:
     def test_dtype_tags(self):
         assert t4([[[[0.0]]]], np.float32).dtype_tag == "single"
         assert t4([[[[0.0]]]], np.float64).dtype_tag == "double"
-
-
-class TestZeros:
-    @pytest.mark.parametrize("shape", [(1, 1, 2, 2), (2, 3, 4, 4), (1, 1, 1, 1)])
-    def test_all_zero(self, shape):
-        z = zeros(Shape4(*shape))
-        assert z.data.shape == shape
-        assert np.all(z.data == 0.0)
 
 
 class TestAdd:
@@ -102,7 +75,7 @@ class TestAdd:
 
     def test_identity_and_inverse(self, rng):
         x = Tensor4(rng.normal(size=(2, 3, 4, 4)))
-        z = zeros(x.shape)
+        z = Tensor4(np.zeros(x.data.shape))
         assert np.array_equal(add(x, z).data, x.data)
         neg = Tensor4(-x.data)
         assert np.all(add(x, neg).data == 0.0)
@@ -113,8 +86,8 @@ class TestAdd:
         assert np.array_equal(add(a, b).data, add(b, a).data)
 
     def test_shape_mismatch_names_both(self):
-        a = zeros(Shape4(1, 2, 3, 3))
-        b = zeros(Shape4(1, 3, 3, 3))
+        a = Tensor4(np.zeros((1, 2, 3, 3)))
+        b = Tensor4(np.zeros((1, 3, 3, 3)))
         with pytest.raises(ShapeError, match=r"1, 2, 3, 3.*1, 3, 3, 3"):
             add(a, b)
 
@@ -157,7 +130,7 @@ class TestChannelScale:
 
     def test_zeros_annihilate(self, rng):
         x = Tensor4(rng.normal(size=(2, 3, 4, 4)))
-        w = zeros(Shape4(2, 3, 1, 1))
+        w = Tensor4(np.zeros((2, 3, 1, 1)))
         assert np.all(channel_scale(x, w).data == 0.0)
 
     def test_broadcast_product_oracle(self):
@@ -218,37 +191,6 @@ class TestPurityAndBounds:
         assert np.all(buf_a[:, :, :2, :] == canary)
 
 
-class TestDumpFormat:
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_round_trip(self, tmp_path, rng, dtype):
-        x = Tensor4(rng.normal(size=(2, 3, 5, 4)).astype(dtype))
-        path = tmp_path / "x.t4"
-        write_tensor(path, x)
-        y = read_tensor(path)
-        assert y.data.dtype == x.data.dtype
-        assert np.array_equal(y.data, x.data)
-        write_tensor(tmp_path / "y.t4", y)
-        assert (tmp_path / "x.t4").read_bytes() == (tmp_path / "y.t4").read_bytes()
-
-    def test_header_layout(self, tmp_path):
-        x = Tensor4(np.arange(4, dtype=np.float32).reshape(1, 1, 2, 2) / 8.0)
-        path = tmp_path / "h.t4"
-        write_tensor(path, x)
-        raw = path.read_bytes()
-        # little-endian u32 extents then a u8 dtype tag (0 = single)
-        assert raw[:17] == (b"\x01\x00\x00\x00\x01\x00\x00\x00"
-                            b"\x02\x00\x00\x00\x02\x00\x00\x00\x00")
-        assert len(raw) == 17 + 4 * 4
-
-    def test_truncated_payload_rejected(self, tmp_path):
-        x = Tensor4(np.ones((1, 1, 2, 2)))
-        path = tmp_path / "t.t4"
-        write_tensor(path, x)
-        path.write_bytes(path.read_bytes()[:-3])
-        with pytest.raises(TensorError, match="payload"):
-            read_tensor(path)
-
-
 # --- property tests ------------------------------------------------------------
 #
 # Derandomized with a small example budget, so every run checks the same
@@ -256,55 +198,6 @@ class TestDumpFormat:
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=30,
                     deadline=None)
-
-dumpable = st.sampled_from([np.float32, np.float64]).flatmap(
-    lambda dtype: hnp.arrays(
-        dtype, hnp.array_shapes(min_dims=4, max_dims=4, max_side=4),
-        elements=st.floats(-1e6, 1e6, width=np.dtype(dtype).itemsize * 8)))
-
-
-@pytest.fixture(scope="module")
-def dump_dir(tmp_path_factory):
-    return tmp_path_factory.mktemp("dumps")
-
-
-class TestDumpProperties:
-    @PROPERTY
-    @given(data=dumpable)
-    def test_round_trip_is_exact(self, dump_dir, data):
-        path = dump_dir / "x.t4"
-        write_tensor(path, Tensor4(data))
-        y = read_tensor(path)
-        assert y.data.dtype == data.dtype
-        assert y.data.tobytes() == data.tobytes()
-
-    @settings(PROPERTY, max_examples=10)
-    @given(data=dumpable)
-    def test_every_truncated_prefix_names_the_file(self, dump_dir, data):
-        path = dump_dir / "full.t4"
-        write_tensor(path, Tensor4(data))
-        blob = path.read_bytes()
-        cut = dump_dir / "cut.t4"
-        for k in range(len(blob)):
-            cut.write_bytes(blob[:k])
-            with pytest.raises(TensorError) as exc:
-                read_tensor(cut)
-            assert str(cut) in str(exc.value)
-
-
-bad_extent = st.one_of(st.integers(max_value=0), st.booleans(),
-                       st.floats(allow_nan=False), st.text("12x", max_size=2),
-                       st.none())
-
-
-class TestShape4Properties:
-    @PROPERTY
-    @given(extents=st.lists(st.integers(1, 64), min_size=4, max_size=4),
-           at=st.integers(0, 3), bad=bad_extent)
-    def test_rejects_any_bad_extent(self, extents, at, bad):
-        extents[at] = bad
-        with pytest.raises(ShapeError):
-            Shape4(*extents)
 
 
 class TestConcatChannelsProperties:

@@ -279,9 +279,9 @@ class TestTrainLoop:
         log = train_loop(model, samples, samples, make_loss("bce"),
                          AdamState(), EarlyStopper(patience=2),
                          epochs_max=50, batch_size=2, seed=0)
-        # exactly patience+1 non-improving epochs follow the last best one
-        assert log.stopped_early
-        assert len(log.rows) == log.best_epoch + 1 + 2 + 1
+        # exactly patience+1 non-improving epochs follow the last best one,
+        # well before epochs_max
+        assert len(log.rows) == log.best_epoch + 1 + 2 + 1 < 50
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts(self, rng):
