@@ -5,9 +5,9 @@ executed during a forward pass. Each recorded node stores the ids of its
 operand tensors, whatever forward values its backward rule needs, and the
 id of the tensor it produced. Ids index into the tape's value table;
 leaves (inputs and parameters) are registered with `Tape.leaf` and have no
-node. Running `backward` walks the node list in reverse, applying one
-registered backward rule per operation kind and summing gradient
-contributions over all paths.
+node. `backward` takes the loss `Var` and walks the node list in
+reverse, applying one registered backward rule per operation kind and
+summing gradient contributions over all paths.
 
 A tape built with ``Tape(grad=False)`` checks operands exactly like a
 recording one but keeps no values and no nodes, in the spirit of
@@ -16,7 +16,8 @@ PyTorch's ``no_grad``: eval forwards use it, and `backward` refuses it.
 The rules are registered by the modules that define the ops
 (`functional` for layer and tensor ops, `train` for the losses); this
 module only provides the machinery plus the finite-difference oracle used
-to validate every rule.
+to validate every rule, which takes the function that builds the loss
+graph and runs `backward` on it itself.
 """
 
 from __future__ import annotations
@@ -53,10 +54,6 @@ class Var:
     tape: "Tape"
     id: int
     value: np.ndarray
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.value.shape
 
 
 # One backward rule per differentiable op kind. A rule receives the node
@@ -134,7 +131,7 @@ class Tape:
         return Var(self, out, out_value)
 
 
-def backward(tape: Tape, loss) -> dict[int, np.ndarray]:
+def backward(tape: Tape, loss: Var) -> dict[int, np.ndarray]:
     """Reverse-accumulate d(loss)/d(x) for every leaf on the tape.
 
     Returns the leaves' gradients keyed by tape id; an absent id has a
@@ -142,22 +139,21 @@ def backward(tape: Tape, loss) -> dict[int, np.ndarray]:
     reaches that node, so it is dropped there: the live gradients are
     the frontier of the walk, not the whole tape. The tape itself is only
     read, so `backward` can run on it again.
-    The loss must be scalar-shaped (1, 1, 1, 1). Gradients over multiple
-    paths are summed; traversal order is fixed (reverse recording order,
-    inputs in recorded order) so replays are bit-identical.
+    The loss must be a Var recorded on `tape` with shape (1, 1, 1, 1).
+    Gradients over multiple paths are summed; traversal order is fixed
+    (reverse recording order, inputs in recorded order) so replays are
+    bit-identical.
     """
     if not tape.grad:
         raise AutogradError("backward needs a recording tape, not Tape(grad=False)")
-    loss_id = loss.id if isinstance(loss, Var) else int(loss)
-    if not (0 <= loss_id < len(tape.values)):
-        raise AutogradError(f"id {loss_id} is not on this tape")
-    loss_val = tape.values[loss_id]
-    if loss_val.shape != (1, 1, 1, 1):
+    if loss.tape is not tape:
+        raise AutogradError("the loss was recorded on another tape")
+    if loss.value.shape != (1, 1, 1, 1):
         raise AutogradError(
-            f"loss must have shape (1, 1, 1, 1), got {loss_val.shape}"
+            f"loss must have shape (1, 1, 1, 1), got {loss.value.shape}"
         )
     grads: dict[int, np.ndarray] = {
-        loss_id: np.ones((1, 1, 1, 1), dtype=loss_val.dtype)
+        loss.id: np.ones((1, 1, 1, 1), dtype=loss.value.dtype)
     }
     for node in reversed(tape.nodes):
         g = grads.pop(node.out, None)
@@ -197,14 +193,15 @@ FD_MAX_COORDS = 256
 FD_SEED = 0
 
 
-def finite_diff_check(f, params: Mapping[str, np.ndarray],
+def finite_diff_check(build: Callable, params: Mapping[str, np.ndarray],
                       name: str = "loss") -> CheckReport:
     """Compare tape gradients against central finite differences.
 
-    `params` maps names to parameter arrays, and `f` is a deterministic
-    scalar function of them. It is called as ``f(params, need_grad=True)``
-    once, returning ``(loss, grads)`` with grads keyed by parameter name
-    (missing keys mean zero), and as ``f(params)`` for plain evaluations.
+    `params` maps names to parameter arrays, and `build(params)` records a
+    deterministic scalar loss of them on a fresh recording tape, returning
+    ``(loss_var, leaves)`` with `leaves` mapping parameter names to their
+    leaf Vars (a missing name has a zero gradient). The first build is
+    run through `backward`; every other build is only evaluated.
     Parameters must be float64; each coordinate is perturbed in place by
     +-FD_EPS and the central difference (f(p+eps) - f(p-eps)) / (2 eps)
     is compared to the tape gradient using the relative error
@@ -219,9 +216,15 @@ def finite_diff_check(f, params: Mapping[str, np.ndarray],
                 f"finite_diff_check needs float64 params; {pname} is {arr.dtype}"
             )
 
-    loss0, grads = f(params, need_grad=True)
+    def f(p) -> float:
+        return float(build(p)[0].value.reshape(()))
+
+    loss_var, leaves = build(params)
+    loss0 = float(loss_var.value.reshape(()))
     if not math.isfinite(loss0):
         raise AutogradError(f"non-finite loss {loss0} at the base point")
+    tape_grads = backward(loss_var.tape, loss_var)
+    grads = {n: tape_grads.get(v.id) for n, v in leaves.items()}
 
     max_rel = 0.0
     worst = ("", -1)

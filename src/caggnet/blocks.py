@@ -1,6 +1,8 @@
 """Composite blocks: ConvBlock, crossing-aggregation node, weighted
 aggregation block, and the bottom-up fusion head, plus the parameter
-containers they read.
+containers they read (`Conv2dParams`, `BatchNormState`, `ConvBlock`,
+`WabParams`). A container is a view of `ParamStore` arrays; the blocks
+pass each op only the arrays it reads.
 
 All forwards take tape handles (`Var`) and compose the ops of
 `functional`, so the same code path serves training and evaluation: eval
@@ -18,7 +20,6 @@ import numpy as np
 
 from . import functional as F
 from .autograd import Var
-from .functional import BatchNormState
 
 
 @dataclass
@@ -31,6 +32,18 @@ class Conv2dParams:
 
     weight: np.ndarray
     bias: np.ndarray
+
+
+@dataclass
+class BatchNormState:
+    """Per-channel batch norm: learnable gamma and beta, and the running
+    statistics that `functional.batchnorm2d` updates in training mode and
+    reads in eval mode."""
+
+    gamma: np.ndarray
+    beta: np.ndarray
+    running_mean: np.ndarray
+    running_var: np.ndarray
 
 
 @dataclass
@@ -61,7 +74,8 @@ def _conv(x: Var, p: Conv2dParams) -> Var:
 def _bn(x: Var, s: BatchNormState, training: bool) -> Var:
     """batchnorm2d with the layer's gamma and beta as leaves on x's tape."""
     t = x.tape
-    return F.batchnorm2d(x, t.leaf(s.gamma), t.leaf(s.beta), s, training)
+    return F.batchnorm2d(x, t.leaf(s.gamma), t.leaf(s.beta), s.running_mean,
+                         s.running_var, training)
 
 
 def conv_block_forward(x: Var, b: ConvBlock, training: bool) -> Var:

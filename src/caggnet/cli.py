@@ -36,7 +36,6 @@ DEFAULT_CONFIG = {
         "kind": "focal",
         "alpha": 0.25,
         "gamma": 2.0,
-        "clamp_eps": 1e-7,
     },
     "optim": {
         "lr": 1e-3,
@@ -261,6 +260,8 @@ def cmd_gradcheck(args, cfg: dict) -> int:
     from . import gradcheck
     from .data_io import write_atomic
 
+    if args.json_out and not Path(args.json_out).parent.is_dir():
+        raise CliError(f"--json-out {args.json_out}: its directory does not exist")
     scopes = ["ops", "blocks", "model"] if args.scope == "all" else [args.scope]
     reports = []
     for scope in scopes:

@@ -5,7 +5,8 @@ value and records a node on the operands' tape, plus one backward rule,
 registered in `autograd.RULES` under the op's name at import time.
 Training, eval and one-off calls all go through these functions; eval
 runs them on a ``Tape(grad=False)``, which checks operands but keeps
-nothing.
+nothing. An op takes only the arrays it reads: `batchnorm2d` gets its
+running statistics, not the layer container that `blocks` keeps them in.
 
 Every convolution path yields the dense channel-major (c_out, n*h*w)
 output that `_to_nchw` turns into NCHW. Float64 adds one input channel
@@ -48,8 +49,6 @@ input: two BLAS matmuls.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -289,30 +288,12 @@ def _upsample_nearest2_bwd(node: TapeNode, g: np.ndarray):
     return ((a + b) + (c + d),)
 
 
-@dataclass
-class BatchNormState:
-    """Per-channel batch-norm state: learnable gamma/beta, and the running
-    statistics that `batchnorm2d` updates with `BN_MOMENTUM` in training
-    mode and consumes in eval mode. Normalization uses the biased batch
-    variance; running_var stores the same quantity."""
-
-    gamma: np.ndarray
-    beta: np.ndarray
-    running_mean: np.ndarray
-    running_var: np.ndarray
-
-    def __post_init__(self):
-        c = self.gamma.shape[0]
-        for name in ("beta", "running_mean", "running_var"):
-            if getattr(self, name).shape != (c,):
-                raise ShapeError(f"batchnorm {name} must have shape ({c},)")
-
-
-def batchnorm2d(x: Var, gamma: Var, beta: Var, state: BatchNormState,
-                training: bool) -> Var:
+def batchnorm2d(x: Var, gamma: Var, beta: Var, running_mean: np.ndarray,
+                running_var: np.ndarray, training: bool) -> Var:
     """Normalize per channel: batch statistics in training mode, which
-    also updates the running stats in `state`, running statistics in
-    eval mode."""
+    also updates `running_mean` and `running_var` in place with
+    `BN_MOMENTUM`, the running statistics in eval mode. Normalization
+    uses the biased batch variance; running_var stores the same quantity."""
     xv, gv = x.value, gamma.value
     if xv.shape[1] != gv.shape[0]:
         raise ShapeError(
@@ -325,13 +306,13 @@ def batchnorm2d(x: Var, gamma: Var, beta: Var, state: BatchNormState,
         xc = xv - mean
         var = np.square(xc).mean(axis=(0, 2, 3))
         m = BN_MOMENTUM
-        state.running_mean *= 1.0 - m
-        state.running_mean += (m * mean.reshape(-1)).astype(state.running_mean.dtype)
-        state.running_var *= 1.0 - m
-        state.running_var += (m * var).astype(state.running_var.dtype)
+        running_mean *= 1.0 - m
+        running_mean += (m * mean.reshape(-1)).astype(running_mean.dtype)
+        running_var *= 1.0 - m
+        running_var += (m * var).astype(running_var.dtype)
     else:
-        xc = xv - state.running_mean.astype(xv.dtype).reshape(1, -1, 1, 1)
-        var = state.running_var.astype(xv.dtype)
+        xc = xv - running_mean.astype(xv.dtype).reshape(1, -1, 1, 1)
+        var = running_var.astype(xv.dtype)
     inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat = xc * inv.reshape(1, -1, 1, 1)
     out = gv.reshape(1, -1, 1, 1) * xhat + beta.value.reshape(1, -1, 1, 1)

@@ -3,7 +3,8 @@ block, and model.
 
 Each op and block check is one `_check_op` call: a name, a function of
 the leaf Vars, and the float64 inputs to check it at. `_check_op` turns
-that into a scalar loss closure and runs `finite_diff_check`. The op
+that into the builder of a scalar loss graph and hands it to
+`finite_diff_check`, as `_check_full_model` does for a whole model. The op
 checks form one table in `op_checks`, which draws every input from one
 generator in table order. Inputs are constructed to stay away from the
 non-smooth points of relu/maxpool (values come from shuffled evenly
@@ -23,10 +24,9 @@ import numpy as np
 
 from . import functional as F
 from . import train as T
-from .autograd import CheckReport, Tape, backward, finite_diff_check
+from .autograd import CheckReport, Tape, finite_diff_check
 from .blocks import (Conv2dParams, cam_forward, conv_block_forward, wab_forward,
                      wam_head)
-from .functional import BatchNormState
 from .models import (ModelConfig, ParamStore, _init_conv_block, _init_wab,
                      build_caggnet, build_unet, forward)
 from .tensor_core import ShapeError, Tensor4
@@ -89,19 +89,6 @@ def _weighted_scalar(out, rng: np.random.Generator):
     return F.sum_all(F.mul(out, r))
 
 
-def _run_check(name, params, build) -> CheckReport:
-    """Check the loss that `build(params)` returns by finite differences."""
-    def f(p, need_grad=False):
-        loss_var, leaves = build(p)
-        val = float(loss_var.value.reshape(()))
-        if not need_grad:
-            return val
-        grads = backward(loss_var.tape, loss_var)
-        return val, {n: grads.get(v.id) for n, v in leaves.items()}
-
-    return finite_diff_check(f, params, name=name)
-
-
 # --- op-level checks ---------------------------------------------------------
 
 def _check_op(name, op, params, reduce=True) -> CheckReport:
@@ -116,7 +103,7 @@ def _check_op(name, op, params, reduce=True) -> CheckReport:
             out = _weighted_scalar(out, np.random.default_rng(1))
         return out, lv
 
-    return _run_check(name, params, build)
+    return finite_diff_check(build, params, name=name)
 
 
 def _bn_case(rng, training: bool):
@@ -125,12 +112,10 @@ def _bn_case(rng, training: bool):
         "gamma": _spread(rng, (2,), 0.5, 1.5),
         "beta": _spread(rng, (2,), -0.3, 0.3),
     }
-    state = BatchNormState(gamma=np.ones(2), beta=np.zeros(2),
-                           running_mean=np.zeros(2), running_var=np.ones(2))
+    mean, var = np.zeros(2), np.ones(2)
     if not training:
-        state.running_mean = rng.uniform(-0.5, 0.5, 2)
-        state.running_var = rng.uniform(0.5, 1.5, 2)
-    return (lambda v: F.batchnorm2d(v["x"], v["gamma"], v["beta"], state,
+        mean, var = rng.uniform(-0.5, 0.5, 2), rng.uniform(0.5, 1.5, 2)
+    return (lambda v: F.batchnorm2d(v["x"], v["gamma"], v["beta"], mean, var,
                                     training)), params
 
 
@@ -279,7 +264,8 @@ def _check_full_model(arch: str):
                   for name, arr in model.params.named_trainable()}
         return loss, leaves
 
-    return _run_check(f"{arch}_focal", dict(model.params.named_trainable()), build)
+    return finite_diff_check(build, dict(model.params.named_trainable()),
+                             name=f"{arch}_focal")
 
 
 def model_checks(seed: int = 0) -> list[CheckReport]:

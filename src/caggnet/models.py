@@ -31,6 +31,7 @@ import numpy as np
 from . import functional as F
 from .autograd import Tape, Var
 from .blocks import (
+    BatchNormState,
     Conv2dParams,
     ConvBlock,
     WabParams,
@@ -40,7 +41,6 @@ from .blocks import (
     wam_head,
 )
 from .data_io import read_manifest
-from .functional import BatchNormState
 from .tensor_core import DTYPE_OF_TAG, ShapeError, Tensor4, TensorError
 
 
@@ -74,6 +74,8 @@ class ModelConfig:
             )
         if self.dtype not in DTYPE_OF_TAG:
             raise ConfigError(f"dtype must be 'single' or 'double', got {self.dtype}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def width(self, level: int) -> int:
         return self.base_channels * (1 << level)
@@ -109,12 +111,6 @@ class ParamStore:
 
     def __getitem__(self, name: str) -> Param:
         return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
 
     def names(self) -> list[str]:
         return list(self._params)
@@ -464,6 +460,10 @@ def load_checkpoint(directory):
         raise ConfigError(f"checkpoint {directory} has unknown arch "
                           f"{manifest['arch']!r}")
     cfg = ModelConfig(**manifest["config"])
+    try:
+        cfg.validate()
+    except ConfigError as e:
+        raise ConfigError(f"checkpoint {directory} config: {e}") from e
     model = BUILDERS[manifest["arch"]](cfg)
     listed, names = manifest["params"], model.params.names()
     if listed != names:

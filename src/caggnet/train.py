@@ -1,7 +1,8 @@
 """Losses, optimizer, early stopping, and the training loop.
 
 Both losses are means over every pixel in the batch and clamp predicted
-probabilities away from 0 and 1 before taking logs. The focal loss
+probabilities to [CLAMP_EPS, 1 - CLAMP_EPS] before taking logs; a
+gradient is zero where the clamp binds. The focal loss
 
     loss = mean( -alpha_t * (1 - P_t)^gamma * log(P_t) )
 
@@ -30,27 +31,24 @@ from .models import ParamStore, forward, save_checkpoint
 from .tensor_core import DTYPE_OF_TAG, ShapeError, TensorError
 
 
+# how far both losses keep a predicted probability from 0 and 1
+CLAMP_EPS = 1e-7
+
+
 class TrainingDiverged(RuntimeError):
     """Raised when the loss or a gradient stops being finite."""
-
-
-def _check_clamp_eps(clamp_eps: float) -> None:
-    if not 0.0 < clamp_eps < 1e-3:
-        raise ValueError(f"clamp_eps must be in (0, 1e-3), got {clamp_eps}")
 
 
 @dataclass
 class FocalLossConfig:
     alpha: float = 0.25
     gamma: float = 2.0
-    clamp_eps: float = 1e-7
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.gamma < 0.0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        _check_clamp_eps(self.clamp_eps)
 
 
 def _check_loss_inputs(pred: np.ndarray, target: np.ndarray) -> None:
@@ -60,23 +58,21 @@ def _check_loss_inputs(pred: np.ndarray, target: np.ndarray) -> None:
         raise TensorError("loss target must be strictly binary")
 
 
-def traced_bce_loss(pred: Var, target: np.ndarray,
-                    clamp_eps: float = 1e-7) -> Var:
+def traced_bce_loss(pred: Var, target: np.ndarray) -> Var:
     """Mean binary cross entropy between a probability map and a mask."""
     pv = pred.value
     target = np.asarray(target, dtype=pv.dtype)
     _check_loss_inputs(pv, target)
-    p = np.clip(pv, clamp_eps, 1.0 - clamp_eps)
+    p = np.clip(pv, CLAMP_EPS, 1.0 - CLAMP_EPS)
     loss = -(target * np.log(p) + (1.0 - target) * np.log1p(-p)).mean()
     out = np.asarray(loss, dtype=pv.dtype).reshape(1, 1, 1, 1)
-    return pred.tape.record("bce_loss", (pred,), out,
-                            ctx=(pv, target, clamp_eps))
+    return pred.tape.record("bce_loss", (pred,), out, ctx=(pv, target))
 
 
 def _bce_loss_bwd(node: TapeNode, g: np.ndarray):
-    pred, target, clamp_eps = node.ctx
-    p = np.clip(pred, clamp_eps, 1.0 - clamp_eps)
-    inside = (pred >= clamp_eps) & (pred <= 1.0 - clamp_eps)
+    pred, target = node.ctx
+    p = np.clip(pred, CLAMP_EPS, 1.0 - CLAMP_EPS)
+    inside = (pred >= CLAMP_EPS) & (pred <= 1.0 - CLAMP_EPS)
     dp = -(target / p - (1.0 - target) / (1.0 - p)) / pred.size
     return ((g.reshape(()) * dp * inside).astype(pred.dtype),)
 
@@ -86,26 +82,26 @@ def traced_focal_loss(pred: Var, target: np.ndarray, cfg: FocalLossConfig) -> Va
     pv = pred.value
     target = np.asarray(target, dtype=pv.dtype)
     _check_loss_inputs(pv, target)
-    alpha, gamma, clamp_eps = cfg.alpha, cfg.gamma, cfg.clamp_eps
-    p = np.clip(pv, clamp_eps, 1.0 - clamp_eps)
+    alpha, gamma = cfg.alpha, cfg.gamma
+    p = np.clip(pv, CLAMP_EPS, 1.0 - CLAMP_EPS)
     pt = np.where(target == 1, p, 1.0 - p)
     at = np.where(target == 1, alpha, 1.0 - alpha)
     loss = (at * (1.0 - pt) ** gamma * -np.log(pt)).mean()
     out = np.asarray(loss, dtype=pv.dtype).reshape(1, 1, 1, 1)
     return pred.tape.record("focal_loss", (pred,), out,
-                            ctx=(pv, target, alpha, gamma, clamp_eps))
+                            ctx=(pv, target, alpha, gamma))
 
 
 def _focal_loss_bwd(node: TapeNode, g: np.ndarray):
-    pred, target, alpha, gamma, clamp_eps = node.ctx
-    p = np.clip(pred, clamp_eps, 1.0 - clamp_eps)
+    pred, target, alpha, gamma = node.ctx
+    p = np.clip(pred, CLAMP_EPS, 1.0 - CLAMP_EPS)
     pt = np.where(target == 1, p, 1.0 - p)
     at = np.where(target == 1, alpha, 1.0 - alpha)
     # d/dpt of -(1-pt)^g log(pt); the first term vanishes identically at g=0
     dpt = -at * ((1.0 - pt) ** gamma / pt
                  - gamma * (1.0 - pt) ** (gamma - 1.0) * np.log(pt))
     sign = np.where(target == 1, 1.0, -1.0)
-    inside = (pred >= clamp_eps) & (pred <= 1.0 - clamp_eps)
+    inside = (pred >= CLAMP_EPS) & (pred <= 1.0 - CLAMP_EPS)
     return ((g.reshape(()) * dpt * sign * inside / pred.size).astype(pred.dtype),)
 
 
@@ -219,14 +215,12 @@ class TrainingLog:
             + [f"{r.epoch},{s:.3f}\n" for r, s in zip(self.rows, self.seconds)]))
 
 
-def make_loss(kind: str, *, alpha: float = 0.25, gamma: float = 2.0,
-              clamp_eps: float = 1e-7):
+def make_loss(kind: str, *, alpha: float = 0.25, gamma: float = 2.0):
     """Traced loss closure loss(pred_var, target_array) -> scalar Var."""
     if kind == "bce":
-        _check_clamp_eps(clamp_eps)
-        return lambda pred, target: traced_bce_loss(pred, target, clamp_eps)
+        return traced_bce_loss
     if kind == "focal":
-        cfg = FocalLossConfig(alpha=alpha, gamma=gamma, clamp_eps=clamp_eps)
+        cfg = FocalLossConfig(alpha=alpha, gamma=gamma)
         return lambda pred, target: traced_focal_loss(pred, target, cfg)
     raise ValueError(f"unknown loss kind {kind!r}")
 

@@ -13,7 +13,7 @@ import pytest
 
 from caggnet import functional as F
 from caggnet.autograd import Tape
-from caggnet.blocks import Conv2dParams, ConvBlock, cam_forward
+from caggnet.blocks import BatchNormState, Conv2dParams, ConvBlock, cam_forward
 from caggnet.cli import main as cli_main
 from caggnet.data_io import (
     SynthConfig,
@@ -25,7 +25,6 @@ from caggnet.data_io import (
     split_from_manifest,
     write_netpbm,
 )
-from caggnet.functional import BatchNormState
 from caggnet.gradcheck import conv2d_reference
 from caggnet.metrics import (
     ConfusionCounts,

@@ -67,11 +67,12 @@ class TestBackwardBasics:
         with pytest.raises(AutogradError, match="1, 1, 1, 1"):
             backward(t, y)
 
-    def test_foreign_id_rejected(self):
-        t = Tape()
+    def test_foreign_loss_rejected(self):
+        t, other = Tape(), Tape()
         leaf(t, np.ones((1, 1, 1, 1)))
-        with pytest.raises(AutogradError, match="not on this tape"):
-            backward(t, 99)
+        loss = F.sum_all(leaf(other, np.ones((1, 1, 2, 2))))
+        with pytest.raises(AutogradError, match="another tape"):
+            backward(t, loss)
 
     def test_mixed_dtypes_rejected(self):
         t = Tape()
@@ -124,22 +125,15 @@ class TestLinearityAndReplay:
 
 
 class TestFiniteDiffCheck:
-    def _quadratic_fn(self):
-        def f(params, need_grad=False):
-            t = Tape()
-            x = t.leaf(params["x"])
-            loss = F.sum_all(F.mul(x, x))
-            val = float(loss.value.reshape(()))
-            if not need_grad:
-                return val
-            grads = backward(t, loss)
-            return val, {"x": grads.get(x.id)}
-
-        return f
+    @staticmethod
+    def quadratic(params):
+        t = Tape()
+        x = t.leaf(params["x"])
+        return F.sum_all(F.mul(x, x)), {"x": x}
 
     def test_quadratic(self, rng):
         params = {"x": rng.normal(size=(1, 1, 3, 3))}
-        report = finite_diff_check(self._quadratic_fn(), params, name="quadratic")
+        report = finite_diff_check(self.quadratic, params, name="quadratic")
         assert report.passed
         assert report.max_rel_err < 1e-8
 
@@ -147,43 +141,38 @@ class TestFiniteDiffCheck:
         # sigmoid'(0) = 0.25 exactly
         params = {"w": np.zeros((1, 1, 1, 1))}
 
-        def f(p, need_grad=False):
+        def build(p):
             t = Tape()
             w = t.leaf(p["w"])
-            out = F.sigmoid(w)
-            val = float(out.value.reshape(()))
-            if not need_grad:
-                return val
-            grads = backward(t, out)
-            return val, {"w": grads.get(w.id)}
+            return F.sigmoid(w), {"w": w}
 
-        _, grads = f(params, need_grad=True)
-        assert abs(float(grads["w"].reshape(())) - 0.25) < 1e-15
-        report = finite_diff_check(f, params, name="sigmoid0")
+        out, leaves = build(params)
+        grad = backward(out.tape, out)[leaves["w"].id]
+        assert abs(float(grad.reshape(())) - 0.25) < 1e-15
+        report = finite_diff_check(build, params, name="sigmoid0")
         assert report.passed and report.max_rel_err < 1e-8
 
     def test_requires_double_precision(self):
         params = {"x": np.zeros((1, 1, 2, 2), dtype=np.float32)}
         with pytest.raises(AutogradError, match="float64"):
-            finite_diff_check(self._quadratic_fn(), params)
+            finite_diff_check(self.quadratic, params)
 
     def test_sampled_coordinates_capped(self, rng):
         calls = {"n": 0}
         params = {"x": rng.normal(size=(1, 1, 40, 40))}
-        base = self._quadratic_fn()
 
-        def counting(p, need_grad=False):
-            if not need_grad:
-                calls["n"] += 1
-            return base(p, need_grad)
+        def counting(p):
+            calls["n"] += 1
+            return self.quadratic(p)
 
         report = finite_diff_check(counting, params)
         assert report.passed
-        assert calls["n"] == 2 * FD_MAX_COORDS == 2 * 256
+        # one build for the tape gradient, two per sampled coordinate
+        assert calls["n"] == 1 + 2 * FD_MAX_COORDS == 1 + 2 * 256
 
     def test_report_json_shape(self, rng):
         params = {"x": rng.normal(size=(1, 1, 2, 2))}
-        report = finite_diff_check(self._quadratic_fn(), params, name="quad")
+        report = finite_diff_check(self.quadratic, params, name="quad")
         payload = json.loads(report.to_json())
         assert set(payload) == {"op", "max_rel_err", "worst_coord", "passed"}
         assert payload["op"] == "quad"

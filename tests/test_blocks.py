@@ -6,6 +6,7 @@ import pytest
 from caggnet import functional as F
 from caggnet.autograd import Tape
 from caggnet.blocks import (
+    BatchNormState,
     Conv2dParams,
     ConvBlock,
     WabParams,
@@ -14,7 +15,6 @@ from caggnet.blocks import (
     wab_forward,
     wam_head,
 )
-from caggnet.functional import BatchNormState
 from caggnet.tensor_core import ShapeError
 
 BN_EVAL_SCALE = 1.0 / math.sqrt(1.0 + 1e-5)  # fresh running stats: mean 0, var 1
@@ -50,7 +50,8 @@ def conv(t, x, p):
 
 
 def bn(t, x, s, training):
-    return F.batchnorm2d(x, t.leaf(s.gamma), t.leaf(s.beta), s, training)
+    return F.batchnorm2d(x, t.leaf(s.gamma), t.leaf(s.beta), s.running_mean,
+                         s.running_var, training)
 
 
 def run_on_tape(fn, *arrays):

@@ -3,6 +3,7 @@ names a key twice, while a plain YAML loader keeps the last value and so
 hides a step that was written over."""
 
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -73,3 +74,18 @@ def test_ci_installs_the_test_extra():
         # the package name, without a version bound or extras
         package = re.match(r"[A-Za-z0-9._-]+", requirement).group(0).lower()
         assert package in installed, requirement
+
+
+def test_ci_cli_commands_parse():
+    # a removed flag would otherwise go stale here unnoticed
+    from caggnet.cli import build_parser
+
+    prefix = ["python", "-m", "caggnet.cli"]
+    argvs = [shlex.split(line)[len(prefix):]
+             for step in workflow_steps() if "run" in step
+             for line in step["run"].splitlines()
+             if shlex.split(line)[:len(prefix)] == prefix]
+    assert {argv[0] for argv in argvs} == {"synth", "train", "eval", "gradcheck"}
+    parser = build_parser()
+    for argv in argvs:
+        parser.parse_args(argv)

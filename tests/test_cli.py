@@ -273,14 +273,19 @@ class TestTrain:
     def test_no_dataset_flag_exits_1(self, tmp_path):
         assert main(["train", "--out", str(tmp_path / "r")]) == 1
 
-    @pytest.mark.parametrize("clamp_eps", [0.5, 0.0])
-    def test_bce_clamp_eps_out_of_range_exits_1(self, dataset, tmp_path, capsys,
-                                                 clamp_eps):
+    # a removed key is refused like any other unknown key
+    @pytest.mark.parametrize("config,named", [
+        ({"loss": {"clamp_eps": 1e-7}}, "'loss.clamp_eps'"),
+        ({"no_such_key": 1}, "'no_such_key'"),
+    ])
+    def test_unknown_config_key_exits_1_naming_it(self, dataset, tmp_path, capsys,
+                                                  config, named):
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"loss": {"kind": "bce", "clamp_eps": clamp_eps}}))
+        cfg.write_text(json.dumps(config))
         assert main(["train", "--config", str(cfg), "--data", str(dataset),
                      "--out", str(tmp_path / "r")] + self.TRAIN_ARGS) == 1
-        assert "clamp_eps" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"unknown config key {named}" in err and "Traceback" not in err
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("case", sorted(DATASET_CORRUPTIONS))
@@ -501,9 +506,6 @@ class TestKnobs:
         "out_dir": "names where the outputs go, not what they hold",
         "model.in_channels": "must equal the dataset's channel count, and "
                              "synth writes one-channel images",
-        "loss.clamp_eps": "clips only probabilities within 1e-3 of 0 or 1, "
-                          "which a short run from a fresh init never reaches; "
-                          "test_train checks it in make_loss",
     }
 
     @staticmethod
@@ -703,6 +705,10 @@ class TestEval:
         "format-1": (lambda m: m.update(format=1), "format 1"),
         "format-2": (lambda m: m.update(format=2), "format 2"),
         "format-3": (lambda m: m.update(format=3), "format 3"),
+        "negative-seed": (lambda m: m["config"].update(seed=-1),
+                          "config: seed must be >= 0"),
+        "levels-out-of-range": (lambda m: m["config"].update(levels=1),
+                                "config: levels must be >= 2"),
     }
 
     @pytest.mark.parametrize("case", sorted(CHECKPOINT_CORRUPTIONS))
@@ -831,6 +837,16 @@ class TestGradcheckCommand:
             assert any(op in name for name in listed), f"{op} not covered"
         assert all(r["passed"] for r in reports)
         assert "PASS" in printed
+
+    def test_json_out_in_missing_directory_exits_1_before_checking(self, capsys,
+                                                                   tmp_path):
+        json_out = tmp_path / "missing" / "reports.json"
+        assert main(["gradcheck", "--scope", "ops", "--json-out", str(json_out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--json-out {json_out}" in captured.err
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "missing").exists()
 
     def test_corrupted_backward_fails(self, monkeypatch):
         from caggnet import autograd

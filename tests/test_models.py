@@ -82,7 +82,7 @@ class TestDeterminismAndValidation:
 
     @pytest.mark.parametrize("field,value", [
         ("levels", 1), ("columns", 0), ("base_channels", 0),
-        ("in_channels", 2), ("dtype", "half"),
+        ("in_channels", 2), ("dtype", "half"), ("seed", -1),
     ])
     def test_config_validation(self, field, value):
         cfg = ModelConfig(**{field: value})

@@ -5,8 +5,8 @@ import pytest
 
 from caggnet import functional as F
 from caggnet.autograd import Tape, TapeNode, backward
-from caggnet.blocks import Conv2dParams
-from caggnet.functional import BN_EPS, BN_MOMENTUM, BatchNormState
+from caggnet.blocks import BatchNormState, Conv2dParams
+from caggnet.functional import BN_EPS, BN_MOMENTUM
 from caggnet.gradcheck import conv2d_reference
 from caggnet.tensor_core import ShapeError, Tensor4
 
@@ -22,7 +22,8 @@ def conv2d(x, p):
 
 
 def batchnorm2d(x, s, training):
-    return eager(lambda v, g, b: F.batchnorm2d(v, g, b, s, training),
+    return eager(lambda v, g, b: F.batchnorm2d(v, g, b, s.running_mean,
+                                               s.running_var, training),
                  x, s.gamma, s.beta)
 
 
@@ -407,12 +408,12 @@ class TestBatchNorm:
             c = shape[1]
             gamma = rng.normal(size=c).astype(dtype)
             beta = rng.normal(size=c).astype(dtype)
-            s = BatchNormState(gamma=gamma, beta=beta,
-                               running_mean=rng.normal(size=c).astype(dtype),
-                               running_var=rng.uniform(0.5, 2.0, size=c).astype(dtype))
-            rm, rv = s.running_mean.copy(), s.running_var.copy()
+            running_mean = rng.normal(size=c).astype(dtype)
+            running_var = rng.uniform(0.5, 2.0, size=c).astype(dtype)
+            rm, rv = running_mean.copy(), running_var.copy()
             t = Tape()
-            out = F.batchnorm2d(t.leaf(x), t.leaf(gamma), t.leaf(beta), s, True).value
+            out = F.batchnorm2d(t.leaf(x), t.leaf(gamma), t.leaf(beta),
+                                running_mean, running_var, True).value
             xhat = t.nodes[-1].ctx[0]
 
             mean = x.mean(axis=(0, 2, 3))
@@ -423,8 +424,8 @@ class TestBatchNorm:
             ref_rm = rm * (1.0 - BN_MOMENTUM) + (BN_MOMENTUM * mean).astype(dtype)
             ref_rv = rv * (1.0 - BN_MOMENTUM) + (BN_MOMENTUM * var).astype(dtype)
             for name, a, b in (("out", out, ref_out), ("xhat", xhat, ref_xhat),
-                               ("running_mean", s.running_mean, ref_rm),
-                               ("running_var", s.running_var, ref_rv)):
+                               ("running_mean", running_mean, ref_rm),
+                               ("running_var", running_var, ref_rv)):
                 assert a.dtype == dtype, name
                 assert a.tobytes() == b.tobytes(), (name, shape)
 

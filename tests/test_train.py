@@ -55,18 +55,12 @@ class TestBceLoss:
             loss_value(traced_bce_loss, prob_map([[[[0.5]]]]),
                        prob_map([[[[0.5]]]]))
 
-    @pytest.mark.parametrize("clamp_eps", [0.5, 0.0])
-    def test_make_loss_checks_clamp_eps(self, clamp_eps):
-        with pytest.raises(ValueError, match="clamp_eps"):
-            make_loss("bce", clamp_eps=clamp_eps)
-
-    @pytest.mark.parametrize("kind", ["bce", "focal"])
-    def test_make_loss_applies_clamp_eps(self, kind):
-        # fully wrong, saturated predictions: a wider clamp bounds the loss lower
+    def test_saturated_wrong_prediction_is_clamped(self):
+        # p = 0 against y = 1 and p = 1 against y = 0 each cost -log(CLAMP_EPS)
         pred, target = prob_map([[[[0.0, 1.0]]]]), prob_map([[[[1.0, 0.0]]]])
-        tight = loss_value(make_loss(kind, clamp_eps=1e-7), pred, target)
-        wide = loss_value(make_loss(kind, clamp_eps=1e-4), pred, target)
-        assert tight > wide > 0
+        loss = loss_value(make_loss("bce"), pred, target)
+        assert train_mod.CLAMP_EPS == 1e-7
+        assert abs(loss + math.log(1e-7)) <= 1e-9 * -math.log(1e-7)
 
 
 class TestFocalLoss:
@@ -80,7 +74,7 @@ class TestFocalLoss:
             assert abs(fl - ref) <= 1e-9 * abs(ref)
 
     def test_confident_correct_prediction_near_zero(self):
-        cfg = FocalLossConfig(alpha=0.25, gamma=2.0, clamp_eps=1e-7)
+        cfg = FocalLossConfig(alpha=0.25, gamma=2.0)
         pred = prob_map(np.full((1, 1, 2, 2), 1.0 - 1e-7))
         target = prob_map(np.ones((1, 1, 2, 2)))
         assert loss_value(traced_focal_loss, pred, target, cfg) < 1e-12
@@ -102,11 +96,9 @@ class TestFocalLoss:
         assert all(a > b for a, b in zip(losses, losses[1:]))
 
     @pytest.mark.parametrize("field,value", [("alpha", 0.0), ("alpha", 1.0),
-                                             ("gamma", -1.0),
-                                             ("clamp_eps", 0.0),
-                                             ("clamp_eps", 1e-2)])
+                                             ("gamma", -1.0)])
     def test_config_validation(self, field, value):
-        kwargs = {"alpha": 0.25, "gamma": 2.0, "clamp_eps": 1e-7, field: value}
+        kwargs = {"alpha": 0.25, "gamma": 2.0, field: value}
         with pytest.raises(ValueError):
             FocalLossConfig(**kwargs)
 
