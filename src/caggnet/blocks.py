@@ -1,8 +1,11 @@
-"""Composite blocks: ConvBlock, crossing-aggregation node, weighted
-aggregation block, and the bottom-up fusion head, plus the parameter
-containers they read (`Conv2dParams`, `BatchNormState`, `ConvBlock`,
-`WabParams`). A container is a view of `ParamStore` arrays; the blocks
-pass each op only the arrays it reads.
+"""Composite blocks: conv block, crossing-aggregation node, weighted
+aggregation block, and the bottom-up fusion head.
+
+A block reads its weights by name from `params`, a mapping from
+parameter names to arrays (the model's `ParamStore`), under the layer
+prefix it is given: `conv_block_forward(x, params, "enc0", ...)` reads
+``enc0.conv1.weight``, ``enc0.bn1.gamma`` and so on, the names the
+builders in `models` register. Each op gets only the arrays it reads.
 
 All forwards take tape handles (`Var`) and compose the ops of
 `functional`, so the same code path serves training and evaluation: eval
@@ -14,88 +17,49 @@ op that reads it (`concat_channels`, `conv2d`, `add`, `maxpool2`, ...).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
 from . import functional as F
 from .autograd import Var
 
-
-@dataclass
-class Conv2dParams:
-    """Square-kernel convolution weights: (c_out, c_in, k, k) plus bias.
-
-    k = 3 implies zero padding 1, k = 1 implies padding 0; stride is
-    always 1, so spatial extents are preserved.
-    """
-
-    weight: np.ndarray
-    bias: np.ndarray
+Params = Mapping[str, np.ndarray]
 
 
-@dataclass
-class BatchNormState:
-    """Per-channel batch norm: learnable gamma and beta, and the running
-    statistics that `functional.batchnorm2d` updates in training mode and
-    reads in eval mode."""
-
-    gamma: np.ndarray
-    beta: np.ndarray
-    running_mean: np.ndarray
-    running_var: np.ndarray
-
-
-@dataclass
-class ConvBlock:
-    """Two 3x3 conv layers, each followed by batch norm and ReLU."""
-
-    conv1: Conv2dParams
-    bn1: BatchNormState
-    conv2: Conv2dParams
-    bn2: BatchNormState
-
-
-@dataclass
-class WabParams:
-    """Channel-attention gate parameters: two 1x1 convs around a global
-    average pool; fc1 narrows c channels to c / r and fc2 widens them back."""
-
-    fc1: Conv2dParams
-    fc2: Conv2dParams
-
-
-def _conv(x: Var, p: Conv2dParams) -> Var:
-    """conv2d with the layer's weight and bias as leaves on x's tape."""
+def _conv(x: Var, params: Params, name: str) -> Var:
+    """conv2d with `name.weight` and `name.bias` as leaves on x's tape."""
     t = x.tape
-    return F.conv2d(x, t.leaf(p.weight), t.leaf(p.bias))
+    return F.conv2d(x, t.leaf(params[f"{name}.weight"]), t.leaf(params[f"{name}.bias"]))
 
 
-def _bn(x: Var, s: BatchNormState, training: bool) -> Var:
-    """batchnorm2d with the layer's gamma and beta as leaves on x's tape."""
+def _bn(x: Var, params: Params, name: str, training: bool) -> Var:
+    """batchnorm2d with `name.gamma` and `name.beta` as leaves on x's
+    tape, and the running statistics `name.running_mean`/`running_var`."""
     t = x.tape
-    return F.batchnorm2d(x, t.leaf(s.gamma), t.leaf(s.beta), s.running_mean,
-                         s.running_var, training)
+    return F.batchnorm2d(x, t.leaf(params[f"{name}.gamma"]), t.leaf(params[f"{name}.beta"]),
+                         params[f"{name}.running_mean"], params[f"{name}.running_var"],
+                         training)
 
 
-def conv_block_forward(x: Var, b: ConvBlock, training: bool) -> Var:
-    """relu(bn2(conv2(relu(bn1(conv1(x)))))), spatial size preserved."""
-    h = F.relu(_bn(_conv(x, b.conv1), b.bn1, training))
-    return F.relu(_bn(_conv(h, b.conv2), b.bn2, training))
+def conv_block_forward(x: Var, params: Params, name: str, training: bool) -> Var:
+    """relu(bn2(conv2(relu(bn1(conv1(x)))))) under `name`, 3x3 convs."""
+    h = F.relu(_bn(_conv(x, params, f"{name}.conv1"), params, f"{name}.bn1", training))
+    return F.relu(_bn(_conv(h, params, f"{name}.conv2"), params, f"{name}.bn2", training))
 
 
 def cam_forward(x_same_prev: Var, x_above: Var | None, x_below: Var | None,
-                body: ConvBlock, training: bool) -> Var:
+                params: Params, name: str, training: bool) -> Var:
     """Crossing aggregation: fuse the same-level feature with a
     downsampled finer feature and an upsampled coarser feature, then add
     the result back onto the same-level input.
 
     The concatenation order is fixed as [same, pooled above (2x the size,
     half the channels), upsampled below (half the size)]; absent
-    neighbors (top and bottom grid rows) are simply skipped. `body` maps
-    the aggregate back to the node's own width: the residual sum forces
-    its output channels to equal x_same_prev's, so the node is an
-    identity map when its body is zero-initialized.
+    neighbors (top and bottom grid rows) are simply skipped. The conv
+    block `name` maps the aggregate back to the node's own width: the
+    residual sum forces its output channels to equal x_same_prev's, so
+    the node is an identity map when the block is zero-initialized.
     """
     parts = [x_same_prev]
     if x_above is not None:
@@ -104,32 +68,32 @@ def cam_forward(x_same_prev: Var, x_above: Var | None, x_below: Var | None,
         parts.append(F.upsample_nearest2(x_below))
     z = parts[0] if len(parts) == 1 else F.concat_channels(parts)
     del parts  # the pooled and upsampled parts die once concatenated
-    return F.add(x_same_prev, conv_block_forward(z, body, training))
+    return F.add(x_same_prev, conv_block_forward(z, params, name, training))
 
 
-def wab_forward(x: Var, p: WabParams) -> Var:
+def wab_forward(x: Var, params: Params, name: str) -> Var:
     """Channel attention: squeeze to (n, c, 1, 1) via global average
-    pooling, excite through 1x1 convs (ReLU then sigmoid), and scale the
-    input channels by the resulting weights in (0, 1)."""
-    v = F.relu(_conv(F.global_avg_pool(x), p.fc1))
-    return F.channel_scale(x, F.sigmoid(_conv(v, p.fc2)))
+    pooling, excite through the 1x1 convs `name.fc1` (c to c / r, then
+    ReLU) and `name.fc2` (back to c, then sigmoid), and scale the input
+    channels by the resulting weights in (0, 1)."""
+    v = F.relu(_conv(F.global_avg_pool(x), params, f"{name}.fc1"))
+    return F.channel_scale(x, F.sigmoid(_conv(v, params, f"{name}.fc2")))
 
 
-def wam_head(per_level_feats: list[Var], wabs: list[WabParams],
-             fuse_convs: list[Conv2dParams], head: Conv2dParams) -> Var:
+def wam_head(per_level_feats: list[Var], params: Params) -> Var:
     """Fuse attention-gated features from the deepest level upward.
 
-    `per_level_feats` and `wabs` are ordered deepest-first (level L-1
-    down to level 0, spatial size doubling along the list), one gate per
-    level. `fuse_convs` is indexed by level: fuse_convs[i] merges level
-    i's gated feature with the upsampled running feature, for
-    i = L-2 .. 0. The final 1x1 `head` plus sigmoid produces the
-    (n, 1, H, W) probability map.
+    `per_level_feats` is ordered deepest-first (level L-1 down to level
+    0, spatial size doubling along the list); level i is gated by
+    `wab{i}`. Once every level is gated, `fuse{i}` merges level i's gated
+    feature with the upsampled running feature, for i = L-2 .. 0. The
+    final 1x1 `head` plus sigmoid produces the (n, 1, H, W) probability
+    map.
     """
-    gated = [wab_forward(f, w) for f, w in zip(per_level_feats, wabs)]
+    top = len(per_level_feats) - 1
+    gated = [wab_forward(f, params, f"wab{top - k}") for k, f in enumerate(per_level_feats)]
     running = gated[0]
     for k in range(1, len(gated)):
-        level = len(gated) - 1 - k  # gated[k] sits at this level
         merged = F.concat_channels([gated[k], F.upsample_nearest2(running)])
-        running = F.relu(_conv(merged, fuse_convs[level]))
-    return F.sigmoid(_conv(running, head))
+        running = F.relu(_conv(merged, params, f"fuse{top - k}"))
+    return F.sigmoid(_conv(running, params, "head"))

@@ -221,7 +221,6 @@ def cmd_eval(args, cfg: dict) -> int:
     from . import data_io
     from .metrics import binarize, evaluate_model
     from .models import load_checkpoint
-    from .tensor_core import Tensor4
 
     ckpt = Path(args.checkpoint)
     if not ckpt.exists():
@@ -249,8 +248,7 @@ def cmd_eval(args, cfg: dict) -> int:
         mask_dir = out_dir / "pred_masks"
         mask_dir.mkdir(exist_ok=True)
         for s, p in zip(samples, preds):
-            data_io.write_netpbm(mask_dir / f"{s.id}.pgm",
-                                 Tensor4(binarize(p, threshold).data.astype("float64")))
+            data_io.write_netpbm(mask_dir / f"{s.id}.pgm", binarize(p, threshold))
     print(f"evaluated {len(samples)} images: mean IoU {report.mean_iou:.4f}, "
           f"mean F1 {report.mean_f1:.4f}")
     return 0

@@ -6,7 +6,7 @@ registered in `autograd.RULES` under the op's name at import time.
 Training, eval and one-off calls all go through these functions; eval
 runs them on a ``Tape(grad=False)``, which checks operands but keeps
 nothing. An op takes only the arrays it reads: `batchnorm2d` gets its
-running statistics, not the layer container that `blocks` keeps them in.
+two running-statistic arrays, which `blocks` looks up by name.
 
 Every convolution path yields the dense channel-major (c_out, n*h*w)
 output that `_to_nchw` turns into NCHW. Float64 adds one input channel

@@ -25,14 +25,13 @@ import numpy as np
 from . import functional as F
 from . import train as T
 from .autograd import CheckReport, Tape, finite_diff_check
-from .blocks import (Conv2dParams, cam_forward, conv_block_forward, wab_forward,
-                     wam_head)
+from .blocks import cam_forward, conv_block_forward, wab_forward, wam_head
 from .models import (ModelConfig, ParamStore, _init_conv_block, _init_wab,
                      build_caggnet, build_unet, forward)
 from .tensor_core import ShapeError, Tensor4
 
 
-def conv2d_reference(x: Tensor4, p: Conv2dParams) -> Tensor4:
+def conv2d_reference(x: Tensor4, weight: np.ndarray, bias: np.ndarray) -> Tensor4:
     """Naive scalar-loop convolution used as the independent oracle.
 
     Walks every output pixel and accumulates bias + sum over (ci, ki, kj)
@@ -42,9 +41,8 @@ def conv2d_reference(x: Tensor4, p: Conv2dParams) -> Tensor4:
     xd = x.data
     if xd.dtype != np.float64:
         raise ShapeError("conv2d_reference is double precision only")
-    w, b = p.weight, p.bias
     n, c_in, h, wd = xd.shape
-    c_out, c_in2, k, _ = w.shape
+    c_out, c_in2, k, _ = weight.shape
     if c_in2 != c_in:
         raise ShapeError(f"conv2d channel mismatch: input c={c_in}, weight c_in={c_in2}")
     pad = (k - 1) // 2
@@ -53,7 +51,7 @@ def conv2d_reference(x: Tensor4, p: Conv2dParams) -> Tensor4:
         for co in range(c_out):
             for i in range(h):
                 for j in range(wd):
-                    acc = float(b[co])
+                    acc = float(bias[co])
                     for ci in range(c_in):
                         for ki in range(k):
                             for kj in range(k):
@@ -61,7 +59,7 @@ def conv2d_reference(x: Tensor4, p: Conv2dParams) -> Tensor4:
                                 jj = j + kj - pad
                                 if 0 <= ii < h and 0 <= jj < wd:
                                     acc += float(xd[b_i, ci, ii, jj]) * float(
-                                        w[co, ci, ki, kj]
+                                        weight[co, ci, ki, kj]
                                     )
                     out[b_i, co, i, j] = acc
     return Tensor4(out)
@@ -179,14 +177,13 @@ def op_checks(seed: int = 0) -> list[CheckReport]:
 def _check_conv_block(rng):
     cfg = ModelConfig(levels=2, columns=1, base_channels=2, in_channels=1,
                       seed=7, dtype="double")
-    model = build_caggnet(cfg)
-    block = model.encoder[0]
+    store = build_caggnet(cfg).params
     x = _spread(rng, (2, 1, 6, 6))
-    params = {name: arr for name, arr in model.params.named_trainable()
+    params = {name: arr for name, arr in store.named_trainable()
               if name.startswith("enc0.")}
     params["x"] = x
     return _check_op("conv_block",
-                     lambda v: conv_block_forward(v["x"], block, training=True),
+                     lambda v: conv_block_forward(v["x"], store, "enc0", training=True),
                      params)
 
 
@@ -195,8 +192,7 @@ def _check_cam(rng, above: bool, below: bool):
     z = c + (c // 2 if above else 0) + (2 * c if below else 0)
     # standalone node body with the right widths, via a scratch store
     store = ParamStore()
-    body = _init_conv_block(store, "body", z, c, np.random.default_rng(13),
-                            np.float64)
+    _init_conv_block(store, "body", z, c, np.random.default_rng(13), np.float64)
     params = dict(store.named_trainable())
     params["same"] = _spread(rng, (1, c, 4, 4))
     if above:
@@ -206,30 +202,29 @@ def _check_cam(rng, above: bool, below: bool):
 
     tag = f"cam_{'a' if above else '-'}{'b' if below else '-'}"
     return _check_op(tag, lambda v: cam_forward(v["same"], v.get("above"),
-                                                v.get("below"), body,
+                                                v.get("below"), store, "body",
                                                 training=True),
                      params)
 
 
 def _check_wab(rng):
     store = ParamStore()
-    wab = _init_wab(store, "wab", 4, 2, np.random.default_rng(17), np.float64)
+    _init_wab(store, "wab", 4, 2, np.random.default_rng(17), np.float64)
     params = dict(store.named_trainable())
     params["x"] = _spread(rng, (2, 4, 4, 4))
-    return _check_op("wab", lambda v: wab_forward(v["x"], wab), params)
+    return _check_op("wab", lambda v: wab_forward(v["x"], store, "wab"), params)
 
 
 def _check_wam(rng):
     cfg = ModelConfig(levels=2, columns=1, base_channels=2, in_channels=1,
                       seed=19, dtype="double")
-    model = build_caggnet(cfg)
-    params = {name: arr for name, arr in model.params.named_trainable()
+    store = build_caggnet(cfg).params
+    params = {name: arr for name, arr in store.named_trainable()
               if name.startswith(("wab", "fuse", "head"))}
     params["f0"] = _spread(rng, (1, 2, 8, 8))
     params["f1"] = _spread(rng, (1, 4, 4, 4))
     return _check_op("wam_head",
-                     lambda v: wam_head([v["f1"], v["f0"]],  # deepest first
-                                        model.wabs[::-1], model.fuse, model.head),
+                     lambda v: wam_head([v["f1"], v["f0"]], store),  # deepest first
                      params)
 
 

@@ -14,7 +14,11 @@ with the top and bottom rows dropping the missing neighbor. In this
 left-to-right, top-down order every input of a node is computed before
 the node, so the wiring is an acyclic grid. The head applies channel
 attention per level to the last column and fuses bottom-up into a
-probability map. This module also owns the checkpoint format: a JSON
+probability map.
+
+Both archs are one `Model`, whose `ParamStore` holds every weight under
+the layer names the builders register; each graph hands a block its
+layer's prefix. This module also owns the checkpoint format: a JSON
 manifest and ``params.bin``, the raw parameter values.
 """
 
@@ -23,23 +27,14 @@ from __future__ import annotations
 import json
 import os
 import shutil
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import functional as F
 from .autograd import Tape, Var
-from .blocks import (
-    BatchNormState,
-    Conv2dParams,
-    ConvBlock,
-    WabParams,
-    _conv,
-    cam_forward,
-    conv_block_forward,
-    wam_head,
-)
+from .blocks import _conv, cam_forward, conv_block_forward, wam_head
 from .data_io import read_manifest
 from .tensor_core import DTYPE_OF_TAG, ShapeError, Tensor4, TensorError
 
@@ -90,11 +85,12 @@ class Param:
 
 
 class ParamStore:
-    """Ordered map of named parameter arrays.
+    """Ordered map of named parameter arrays: the model's one registry of
+    weights, which the blocks read by name (``store[name]`` is the array).
 
     Buffers such as batch-norm running statistics are stored with
     ``trainable=False`` so checkpoints capture the full model state.
-    Values are mutable and aliased by the model blocks, so in-place
+    Values are mutable and read afresh by every forward, so in-place
     optimizer updates are immediately visible to the forward pass. The
     store holds no optimizer state: `train.AdamState` owns the moments,
     flat over the trainable parameters in construction order.
@@ -103,14 +99,13 @@ class ParamStore:
     def __init__(self):
         self._params: dict[str, Param] = {}
 
-    def add(self, name: str, value: np.ndarray, trainable: bool = True) -> np.ndarray:
+    def add(self, name: str, value: np.ndarray, trainable: bool = True) -> None:
         if name in self._params:
             raise ConfigError(f"duplicate parameter name {name!r}")
         self._params[name] = Param(value=value, trainable=trainable)
-        return value
 
-    def __getitem__(self, name: str) -> Param:
-        return self._params[name]
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._params[name].value
 
     def names(self) -> list[str]:
         return list(self._params)
@@ -162,138 +157,90 @@ class ParamStore:
 # --- parameter construction -------------------------------------------------
 
 def _init_conv(store: ParamStore, name: str, c_in: int, c_out: int, k: int,
-               rng: np.random.Generator, dtype) -> Conv2dParams:
+               rng: np.random.Generator, dtype) -> None:
     bound = 1.0 / np.sqrt(c_in * k * k)
-    w = rng.uniform(-bound, bound, size=(c_out, c_in, k, k)).astype(dtype)
-    b = np.zeros(c_out, dtype=dtype)
-    return Conv2dParams(
-        weight=store.add(f"{name}.weight", w),
-        bias=store.add(f"{name}.bias", b),
-    )
+    store.add(f"{name}.weight",
+              rng.uniform(-bound, bound, size=(c_out, c_in, k, k)).astype(dtype))
+    store.add(f"{name}.bias", np.zeros(c_out, dtype=dtype))
 
 
-def _init_bn(store: ParamStore, name: str, c: int, dtype) -> BatchNormState:
-    return BatchNormState(
-        gamma=store.add(f"{name}.gamma", np.ones(c, dtype=dtype)),
-        beta=store.add(f"{name}.beta", np.zeros(c, dtype=dtype)),
-        running_mean=store.add(f"{name}.running_mean",
-                               np.zeros(c, dtype=dtype), trainable=False),
-        running_var=store.add(f"{name}.running_var",
-                              np.ones(c, dtype=dtype), trainable=False),
-    )
+def _init_bn(store: ParamStore, name: str, c: int, dtype) -> None:
+    store.add(f"{name}.gamma", np.ones(c, dtype=dtype))
+    store.add(f"{name}.beta", np.zeros(c, dtype=dtype))
+    store.add(f"{name}.running_mean", np.zeros(c, dtype=dtype), trainable=False)
+    store.add(f"{name}.running_var", np.ones(c, dtype=dtype), trainable=False)
 
 
 def _init_conv_block(store: ParamStore, name: str, c_in: int, c_out: int,
-                     rng: np.random.Generator, dtype) -> ConvBlock:
-    return ConvBlock(
-        conv1=_init_conv(store, f"{name}.conv1", c_in, c_out, 3, rng, dtype),
-        bn1=_init_bn(store, f"{name}.bn1", c_out, dtype),
-        conv2=_init_conv(store, f"{name}.conv2", c_out, c_out, 3, rng, dtype),
-        bn2=_init_bn(store, f"{name}.bn2", c_out, dtype),
-    )
+                     rng: np.random.Generator, dtype) -> None:
+    _init_conv(store, f"{name}.conv1", c_in, c_out, 3, rng, dtype)
+    _init_bn(store, f"{name}.bn1", c_out, dtype)
+    _init_conv(store, f"{name}.conv2", c_out, c_out, 3, rng, dtype)
+    _init_bn(store, f"{name}.bn2", c_out, dtype)
 
 
 def _init_wab(store: ParamStore, name: str, c: int, r: int,
-              rng: np.random.Generator, dtype) -> WabParams:
-    return WabParams(
-        fc1=_init_conv(store, f"{name}.fc1", c, c // r, 1, rng, dtype),
-        fc2=_init_conv(store, f"{name}.fc2", c // r, c, 1, rng, dtype),
-    )
+              rng: np.random.Generator, dtype) -> None:
+    _init_conv(store, f"{name}.fc1", c, c // r, 1, rng, dtype)
+    _init_conv(store, f"{name}.fc2", c // r, c, 1, rng, dtype)
 
 
 @dataclass
-class CaggNet:
+class Model:
+    """A built network; `arch` picks its graph in `GRAPHS`."""
+
     cfg: ModelConfig
-    encoder: list[ConvBlock]
-    grid: list[list[ConvBlock]]  # grid[j][i]: column j+1, level i
-    wabs: list[WabParams]      # indexed by level
-    fuse: list[Conv2dParams]   # indexed by level, 0 .. L-2
-    head: Conv2dParams
+    arch: str
     params: ParamStore
-    arch: str = field(default="caggnet", init=False)
 
 
-@dataclass
-class UNet:
-    cfg: ModelConfig
-    encoder: list[ConvBlock]
-    decoder: list[ConvBlock]   # indexed by level, 0 .. L-2
-    head: Conv2dParams
-    params: ParamStore
-    arch: str = field(default="unet", init=False)
-
-
-def build_caggnet(cfg: ModelConfig) -> CaggNet:
-    """Assemble the crossing-aggregation network.
-
-    Parameter initialization is deterministic in cfg.seed: conv weights
-    are uniform in +-1/sqrt(fan_in), biases zero, batch-norm gamma 1 and
-    beta 0, drawn in a fixed construction order.
-    """
+def _encoder_store(cfg: ModelConfig):
+    """Validate `cfg`, register the encoder column both archs share and
+    return the store, with the generator and dtype for the arch's other
+    layers. Conv weights are uniform in +-1/sqrt(fan_in) from a generator
+    seeded by cfg.seed, in construction order; biases and beta are 0, gamma 1."""
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     dtype = DTYPE_OF_TAG[cfg.dtype]
     store = ParamStore()
-    L = cfg.levels
-
-    encoder = []
-    for i in range(L):
+    for i in range(cfg.levels):
         c_in = cfg.in_channels if i == 0 else cfg.width(i - 1)
-        encoder.append(_init_conv_block(store, f"enc{i}", c_in, cfg.width(i),
-                                        rng, dtype))
+        _init_conv_block(store, f"enc{i}", c_in, cfg.width(i), rng, dtype)
+    return store, rng, dtype
 
-    grid = []
+
+def build_caggnet(cfg: ModelConfig) -> Model:
+    """Assemble the crossing-aggregation network: the encoder, grid nodes
+    ``cam{j}_{i}``, gates ``wab{i}``, fusions ``fuse{i}`` and ``head``."""
+    store, rng, dtype = _encoder_store(cfg)
+    L = cfg.levels
     for j in range(1, cfg.columns + 1):
-        column = []
         for i in range(L):
             z = cfg.width(i)
             if i > 0:
                 z += cfg.width(i - 1)
             if i < L - 1:
                 z += cfg.width(i + 1)
-            column.append(_init_conv_block(store, f"cam{j}_{i}", z,
-                                           cfg.width(i), rng, dtype))
-        grid.append(column)
-
-    wabs = [
+            _init_conv_block(store, f"cam{j}_{i}", z, cfg.width(i), rng, dtype)
+    for i in range(L):
         _init_wab(store, f"wab{i}", cfg.width(i), cfg.wab_reduction, rng, dtype)
-        for i in range(L)
-    ]
-    fuse = [
+    for i in range(L - 1):
         _init_conv(store, f"fuse{i}", cfg.width(i) + cfg.width(i + 1),
                    cfg.width(i), 1, rng, dtype)
-        for i in range(L - 1)
-    ]
-    head = _init_conv(store, "head", cfg.width(0), 1, 1, rng, dtype)
-    return CaggNet(cfg=cfg, encoder=encoder, grid=grid, wabs=wabs, fuse=fuse,
-                   head=head, params=store)
+    _init_conv(store, "head", cfg.width(0), 1, 1, rng, dtype)
+    return Model(cfg=cfg, arch="caggnet", params=store)
 
 
-def build_unet(cfg: ModelConfig) -> UNet:
+def build_unet(cfg: ModelConfig) -> Model:
     """Assemble the plain encoder-decoder baseline (cfg.columns ignored).
-
-    The decoder at level i consumes the level's skip feature concatenated
-    with the upsampled feature from level i+1, in that order.
-    """
-    cfg.validate()
-    rng = np.random.default_rng(cfg.seed)
-    dtype = DTYPE_OF_TAG[cfg.dtype]
-    store = ParamStore()
-    L = cfg.levels
-
-    encoder = []
-    for i in range(L):
-        c_in = cfg.in_channels if i == 0 else cfg.width(i - 1)
-        encoder.append(_init_conv_block(store, f"enc{i}", c_in, cfg.width(i),
-                                        rng, dtype))
-    decoder = [
+    Decoder block ``dec{i}`` consumes level i's skip feature concatenated
+    with the upsampled feature from level i+1, in that order."""
+    store, rng, dtype = _encoder_store(cfg)
+    for i in range(cfg.levels - 1):
         _init_conv_block(store, f"dec{i}", cfg.width(i) + cfg.width(i + 1),
                          cfg.width(i), rng, dtype)
-        for i in range(L - 1)
-    ]
-    head = _init_conv(store, "head", cfg.width(0), 1, 1, rng, dtype)
-    return UNet(cfg=cfg, encoder=encoder, decoder=decoder, head=head,
-                params=store)
+    _init_conv(store, "head", cfg.width(0), 1, 1, rng, dtype)
+    return Model(cfg=cfg, arch="unet", params=store)
 
 
 # the builder of each `arch`; an entry looks its builder up when called,
@@ -325,43 +272,47 @@ class ForwardPass:
     probs_var: Var
 
 
-def _encoder_column(model, x: Var, training: bool) -> list[Var]:
+def _encoder_column(model: Model, x: Var, training: bool) -> list[Var]:
     feats = []
     h = x
-    for i, block in enumerate(model.encoder):
+    for i in range(model.cfg.levels):
         if i > 0:
             h = F.maxpool2(h)
-        h = conv_block_forward(h, block, training)
+        h = conv_block_forward(h, model.params, f"enc{i}", training)
         feats.append(h)
     return feats
 
 
-def _caggnet_graph(model: CaggNet, x: Var, training: bool) -> Var:
+def _caggnet_graph(model: Model, x: Var, training: bool) -> Var:
     # only the previous column stays alive while the next one is built
     prev = _encoder_column(model, x, training)
     L = model.cfg.levels
-    for column_nodes in model.grid:
+    for j in range(1, model.cfg.columns + 1):
         current: list[Var] = []
         for i in range(L):
             above = current[i - 1] if i > 0 else None
             below = prev[i + 1] if i < L - 1 else None
-            current.append(cam_forward(prev[i], above, below,
-                                       column_nodes[i], training))
+            current.append(cam_forward(prev[i], above, below, model.params,
+                                       f"cam{j}_{i}", training))
         prev = current
-    return wam_head(prev[::-1], model.wabs[::-1], model.fuse, model.head)
+    return wam_head(prev[::-1], model.params)
 
 
-def _unet_graph(model: UNet, x: Var, training: bool) -> Var:
+def _unet_graph(model: Model, x: Var, training: bool) -> Var:
     feats = _encoder_column(model, x, training)
     L = model.cfg.levels
     d = feats[L - 1]
     for i in range(L - 2, -1, -1):
         merged = F.concat_channels([feats[i], F.upsample_nearest2(d)])
-        d = conv_block_forward(merged, model.decoder[i], training)
-    return F.sigmoid(_conv(d, model.head))
+        d = conv_block_forward(merged, model.params, f"dec{i}", training)
+    return F.sigmoid(_conv(d, model.params, "head"))
 
 
-def forward(model, x: Tensor4, training: bool = False) -> ForwardPass:
+# the graph of each `arch`, the keys of `BUILDERS`
+GRAPHS = {"caggnet": _caggnet_graph, "unet": _unet_graph}
+
+
+def forward(model: Model, x: Tensor4, training: bool = False) -> ForwardPass:
     """Run the model on a batch, producing an (n, 1, h, w) probability map.
 
     In training mode the returned ForwardPass carries the tape for
@@ -374,13 +325,7 @@ def forward(model, x: Tensor4, training: bool = False) -> ForwardPass:
             f"input precision {x.dtype_tag} does not match model {model.cfg.dtype}"
         )
     tape = Tape(grad=training)
-    xv = tape.leaf(x.data)
-    if isinstance(model, CaggNet):
-        out = _caggnet_graph(model, xv, training)
-    elif isinstance(model, UNet):
-        out = _unet_graph(model, xv, training)
-    else:
-        raise ConfigError(f"unknown model type {type(model).__name__}")
+    out = GRAPHS[model.arch](model, tape.leaf(x.data), training)
     return ForwardPass(probs=Tensor4(out.value), tape=tape, probs_var=out)
 
 

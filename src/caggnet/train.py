@@ -216,11 +216,13 @@ class TrainingLog:
 
 
 def make_loss(kind: str, *, alpha: float = 0.25, gamma: float = 2.0):
-    """Traced loss closure loss(pred_var, target_array) -> scalar Var."""
+    """Traced loss closure loss(pred_var, target_array) -> scalar Var.
+    `alpha` and `gamma` are checked whatever the kind, as every config
+    value is."""
+    cfg = FocalLossConfig(alpha=alpha, gamma=gamma)
     if kind == "bce":
         return traced_bce_loss
     if kind == "focal":
-        cfg = FocalLossConfig(alpha=alpha, gamma=gamma)
         return lambda pred, target: traced_focal_loss(pred, target, cfg)
     raise ValueError(f"unknown loss kind {kind!r}")
 

@@ -13,7 +13,7 @@ import pytest
 
 from caggnet import functional as F
 from caggnet.autograd import Tape
-from caggnet.blocks import BatchNormState, Conv2dParams, ConvBlock, cam_forward
+from caggnet.blocks import cam_forward
 from caggnet.cli import main as cli_main
 from caggnet.data_io import (
     SynthConfig,
@@ -110,16 +110,19 @@ def test_criterion_3_metric_identity():
            f"hand case IoU=0.4, F1=4/7 ok={hand_ok}")
 
 
-def _zero_block(c_in, c_out):
+def _zero_block(name, c_in, c_out):
+    """The name -> array entries of a conv block with zero weights."""
     def bn(c):
-        return BatchNormState(gamma=np.ones(c), beta=np.zeros(c),
-                              running_mean=np.zeros(c), running_var=np.ones(c))
+        return {"gamma": np.ones(c), "beta": np.zeros(c),
+                "running_mean": np.zeros(c), "running_var": np.ones(c)}
 
     def conv(ci, co):
-        return Conv2dParams(weight=np.zeros((co, ci, 3, 3)), bias=np.zeros(co))
+        return {"weight": np.zeros((co, ci, 3, 3)), "bias": np.zeros(co)}
 
-    return ConvBlock(conv1=conv(c_in, c_out), bn1=bn(c_out),
-                     conv2=conv(c_out, c_out), bn2=bn(c_out))
+    layers = {"conv1": conv(c_in, c_out), "bn1": bn(c_out),
+              "conv2": conv(c_out, c_out), "bn2": bn(c_out)}
+    return {f"{name}.{layer}.{key}": value
+            for layer, arrays in layers.items() for key, value in arrays.items()}
 
 
 def test_criterion_4_residual_identity():
@@ -131,14 +134,14 @@ def test_criterion_4_residual_identity():
         for below in (False, True):
             for training in (False, True):
                 z = c + (c // 2 if above else 0) + (2 * c if below else 0)
-                body = _zero_block(z, c)
+                body = _zero_block("body", z, c)
                 same = rng.normal(size=(1, c, 4, 4))
                 t = Tape()
                 out = cam_forward(
                     t.leaf(same),
                     t.leaf(rng.normal(size=(1, c // 2, 8, 8))) if above else None,
                     t.leaf(rng.normal(size=(1, 2 * c, 2, 2))) if below else None,
-                    body, training=training)
+                    body, "body", training=training)
                 dev = float(np.max(np.abs(out.value - same)))
                 worst = max(worst, dev)
                 cases.append(dev)
@@ -158,11 +161,11 @@ def test_criterion_5_conv_equivalence():
         h = int(rng.integers(1, 9))
         w = int(rng.integers(1, 9))
         x = Tensor4(rng.normal(size=(n, c_in, h, w)))
-        p = Conv2dParams(weight=rng.normal(size=(c_out, c_in, k, k)),
-                         bias=rng.normal(size=c_out))
+        weight = rng.normal(size=(c_out, c_in, k, k))
+        bias = rng.normal(size=c_out)
         t = Tape(grad=False)
-        fast = F.conv2d(t.leaf(x), t.leaf(p.weight), t.leaf(p.bias)).value
-        if fast.tobytes() != conv2d_reference(x, p).data.tobytes():
+        fast = F.conv2d(t.leaf(x), t.leaf(weight), t.leaf(bias)).value
+        if fast.tobytes() != conv2d_reference(x, weight, bias).data.tobytes():
             mismatches += 1
     report(5, "conv kernel equivalence", mismatches == 0,
            f"- 100 random double-precision cases (<=8x8, <=4ch, k in {{1,3}}), "

@@ -338,6 +338,9 @@ class TestTrain:
         (["--levels", "6"], {}, "model.levels"),
         (["--seed", "-1"], {}, "'seed'"),
         ([], {"seed": -1}, "'seed'"),
+        # the focal parameters are checked whatever loss reads them
+        (["--loss", "bce", "--alpha", "5"], {}, "alpha"),
+        (["--loss", "bce", "--gamma", "-1"], {}, "gamma"),
     ])
     def test_bad_training_knob_exits_1_naming_it(self, dataset, tmp_path, capsys,
                                                  flags, config, named):

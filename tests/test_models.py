@@ -77,8 +77,8 @@ class TestDeterminismAndValidation:
         other = dataclasses.replace(tiny_cfg, seed=tiny_cfg.seed + 1)
         m1 = build_caggnet(tiny_cfg)
         m2 = build_caggnet(other)
-        assert m1.params["enc0.conv1.weight"].value.tobytes() != \
-            m2.params["enc0.conv1.weight"].value.tobytes()
+        assert m1.params["enc0.conv1.weight"].tobytes() != \
+            m2.params["enc0.conv1.weight"].tobytes()
 
     @pytest.mark.parametrize("field,value", [
         ("levels", 1), ("columns", 0), ("base_channels", 0),
@@ -138,10 +138,10 @@ class TestForward:
 
     def test_training_forward_updates_running_stats(self, rng, tiny_cfg):
         model = build_caggnet(tiny_cfg)
-        before = model.params["enc0.bn1.running_mean"].value.copy()
+        before = model.params["enc0.bn1.running_mean"].copy()
         x = Tensor4(rng.uniform(0, 1, size=(1, 1, 8, 8)))
         forward(model, x, training=True)
-        after = model.params["enc0.bn1.running_mean"].value
+        after = model.params["enc0.bn1.running_mean"]
         assert not np.array_equal(before, after)
 
     def test_matches_manual_schedule_walk(self, rng):
@@ -160,17 +160,17 @@ class TestForward:
         for i in range(cfg.levels):
             if i > 0:
                 h = F.maxpool2(h)
-            h = conv_block_forward(h, model.encoder[i], training=False)
+            h = conv_block_forward(h, model.params, f"enc{i}", training=False)
             col.append(h)
-        for j in range(cfg.columns):
+        for j in range(1, cfg.columns + 1):
             nxt = []
             for i in range(cfg.levels):
                 above = nxt[i - 1] if i > 0 else None
                 below = col[i + 1] if i < cfg.levels - 1 else None
-                nxt.append(cam_forward(col[i], above, below,
-                                       model.grid[j][i], training=False))
+                nxt.append(cam_forward(col[i], above, below, model.params,
+                                       f"cam{j}_{i}", training=False))
             col = nxt
-        expect = wam_head(col[::-1], model.wabs[::-1], model.fuse, model.head)
+        expect = wam_head(col[::-1], model.params)
         assert np.array_equal(got, expect.value)
 
     def test_zero_cam_bodies_collapse_grid_to_encoder(self, rng):
@@ -190,16 +190,18 @@ class TestForward:
         for i in range(cfg.levels):
             if i > 0:
                 h = F.maxpool2(h)
-            h = conv_block_forward(h, model.encoder[i], training=False)
+            h = conv_block_forward(h, model.params, f"enc{i}", training=False)
             col.append(h)
-        expect = wam_head(col[::-1], model.wabs[::-1], model.fuse, model.head)
+        expect = wam_head(col[::-1], model.params)
         assert np.array_equal(got, expect.value)
 
 
 class TestBuilderGrid:
     """Every shape a block reads comes from a builder, which no block
-    re-checks: across a grid of configs, both archs must run an eval
-    forward and a training step end to end."""
+    re-checks, and every name a block reads is one the builder registers:
+    across a grid of configs, both archs must run an eval forward and a
+    training step end to end, and the training forward must read every
+    parameter and buffer in the store."""
 
     @pytest.mark.parametrize("levels", [2, 3, 4])
     @pytest.mark.parametrize("builder", [build_caggnet, build_unet])
@@ -219,7 +221,14 @@ class TestBuilderGrid:
                     assert probs.shape == (2, 1, side, side)
                     assert np.all((probs >= 0) & (probs <= 1))
 
+                    stats = {name: p.value.copy() for name, p in model.params.items()
+                             if not p.trainable}
                     fp = forward(model, x, training=True)
+                    unread = [name for name, value in model.params.named_trainable()
+                              if fp.tape.leaf_id_for(value) is None]
+                    unmoved = [name for name, before in stats.items()
+                               if np.array_equal(model.params[name], before)]
+                    assert not unread and not unmoved, (unread, unmoved)
                     target = (rng.random((2, 1, side, side)) < 0.5).astype(np.float32)
                     loss = traced_focal_loss(fp.probs_var, target,
                                              FocalLossConfig(alpha=0.25, gamma=2.0))
@@ -385,7 +394,7 @@ class TestCheckpoint:
         model = build_caggnet(tiny_cfg)
         save_checkpoint(ckpt, model)
         before = {p.name: p.read_bytes() for p in ckpt.iterdir()}
-        model.params["cam1_0.bn2.beta"].value[0] = np.nan
+        model.params["cam1_0.bn2.beta"][0] = np.nan
         with pytest.raises(ValueError, match="NaN"):
             save_checkpoint(ckpt, model)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt"]

@@ -5,7 +5,6 @@ import pytest
 
 from caggnet import functional as F
 from caggnet.autograd import Tape, TapeNode, backward
-from caggnet.blocks import BatchNormState, Conv2dParams
 from caggnet.functional import BN_EPS, BN_MOMENTUM
 from caggnet.gradcheck import conv2d_reference
 from caggnet.tensor_core import ShapeError, Tensor4
@@ -17,14 +16,14 @@ def eager(op, *arrays, **kwargs):
     return Tensor4(op(*[t.leaf(a) for a in arrays], **kwargs).value)
 
 
-def conv2d(x, p):
-    return eager(F.conv2d, x, p.weight, p.bias)
+def conv2d(x, weight, bias):
+    return eager(F.conv2d, x, weight, bias)
 
 
 def batchnorm2d(x, s, training):
-    return eager(lambda v, g, b: F.batchnorm2d(v, g, b, s.running_mean,
-                                               s.running_var, training),
-                 x, s.gamma, s.beta)
+    return eager(lambda v, g, b: F.batchnorm2d(v, g, b, s["running_mean"],
+                                               s["running_var"], training),
+                 x, s["gamma"], s["beta"])
 
 
 def maxpool2(x):
@@ -52,9 +51,10 @@ def t4(data):
 
 
 def conv_params(weight, bias=None):
+    """(weight, bias) in float64; a missing bias is zeros."""
     w = np.asarray(weight, dtype=np.float64)
     b = np.zeros(w.shape[0]) if bias is None else np.asarray(bias, dtype=np.float64)
-    return Conv2dParams(weight=w, bias=b)
+    return w, b
 
 
 def window_max_oracle(x):
@@ -90,7 +90,7 @@ class TestConv2d:
     def test_ones_kernel_on_ones(self):
         x = t4(np.ones((1, 1, 3, 3)))
         p = conv_params(np.ones((1, 1, 3, 3)))
-        out = conv2d(x, p).data[0, 0]
+        out = conv2d(x, *p).data[0, 0]
         assert np.array_equal(out, [[4, 6, 4], [6, 9, 6], [4, 6, 4]])
 
     def test_dirac_kernel_is_identity(self, rng):
@@ -98,20 +98,20 @@ class TestConv2d:
         w = np.zeros((3, 3, 3, 3))
         for c in range(3):
             w[c, c, 1, 1] = 1.0
-        out = conv2d(x, conv_params(w))
+        out = conv2d(x, *conv_params(w))
         assert np.array_equal(out.data, x.data)
 
     def test_1x1_scalar_case(self):
         # 2 * 3 + 1 = 7
         x = t4([[[[3.0]]]])
         p = conv_params([[[[2.0]]]], bias=[1.0])
-        assert conv2d(x, p).data.reshape(()) == 7.0
+        assert conv2d(x, *p).data.reshape(()) == 7.0
 
     def test_channel_mismatch(self, rng):
         x = Tensor4(rng.normal(size=(1, 2, 4, 4)))
         p = conv_params(rng.normal(size=(1, 3, 3, 3)))
         with pytest.raises(ShapeError, match="channel"):
-            conv2d(x, p)
+            conv2d(x, *p)
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_matches_reference_bitwise(self, rng, k):
@@ -123,19 +123,17 @@ class TestConv2d:
             x = Tensor4(rng.normal(size=(2, c_in, h, w)))
             p = conv_params(rng.normal(size=(c_out, c_in, k, k)),
                             bias=rng.normal(size=c_out))
-            fast = conv2d(x, p)
-            ref = conv2d_reference(x, p)
+            fast = conv2d(x, *p)
+            ref = conv2d_reference(x, *p)
             assert fast.data.tobytes() == ref.data.tobytes()
 
     def test_single_precision_path(self, rng):
         x = Tensor4(rng.normal(size=(1, 2, 4, 4)).astype(np.float32))
         p = conv_params(rng.normal(size=(3, 2, 3, 3)))
-        p32 = Conv2dParams(weight=p.weight.astype(np.float32),
-                           bias=p.bias.astype(np.float32))
-        out = conv2d(x, p32)
+        out = conv2d(x, *(a.astype(np.float32) for a in p))
         assert out.data.dtype == np.float32
         x64 = Tensor4(x.data.astype(np.float64))
-        ref = conv2d(x64, p)
+        ref = conv2d(x64, *p)
         assert np.max(np.abs(out.data - ref.data)) < 1e-5
 
     def test_single_precision_gemm_within_tolerance_of_reference(self):
@@ -144,12 +142,11 @@ class TestConv2d:
             x = rng.normal(size=(n, c_in, h, w)).astype(np.float32)
             weight = rng.normal(size=(c_out, c_in, k, k)).astype(np.float32)
             bias = rng.normal(size=c_out).astype(np.float32)
-            out = conv2d(Tensor4(x), Conv2dParams(weight=weight, bias=bias))
+            out = conv2d(Tensor4(x), weight, bias)
             assert out.data.dtype == np.float32
             ref = conv2d_reference(
                 Tensor4(x.astype(np.float64)),
-                Conv2dParams(weight=weight.astype(np.float64),
-                             bias=bias.astype(np.float64))).data
+                weight.astype(np.float64), bias.astype(np.float64)).data
             rel = np.max(np.abs(out.data - ref)) / np.max(np.abs(ref))
             assert rel <= 1e-5, (n, c_in, c_out, h, w, k, rel)
 
@@ -190,10 +187,10 @@ class TestConv2d:
 
         zero = np.zeros(c_out)
         gx, gw, gb = F._conv2d_bwd(TapeNode("conv2d", (0, 1, 2), 3, (x, weight)), g)
-        ref = (adjoint(x, lambda e: (Tensor4(e), Conv2dParams(weight, zero))),
-               adjoint(weight, lambda e: (Tensor4(x), Conv2dParams(e, zero))),
+        ref = (adjoint(x, lambda e: (Tensor4(e), weight, zero)),
+               adjoint(weight, lambda e: (Tensor4(x), e, zero)),
                adjoint(zero, lambda e: (Tensor4(np.zeros_like(x)),
-                                        Conv2dParams(np.zeros_like(weight), e))))
+                                        np.zeros_like(weight), e)))
         for name, a, b in zip(("gx", "gw", "gb"), (gx, gw, gb), ref):
             assert a.shape == b.shape, name
             assert np.max(np.abs(a - b)) <= 1e-12, name
@@ -203,7 +200,7 @@ class TestConv2d:
         # reduction in any other order would round differently
         x = Tensor4(rng.normal(size=(2, 4, 6, 5)))
         p = conv_params(rng.normal(size=(3, 4, 3, 3)), bias=rng.normal(size=3))
-        assert conv2d(x, p).data.tobytes() == conv2d_reference(x, p).data.tobytes()
+        assert conv2d(x, *p).data.tobytes() == conv2d_reference(x, *p).data.tobytes()
 
     # CAggNet's conv widths at base_channels 8 on both sides of the float32
     # forward's rule: im2col when c_in <= c_out, kn2row otherwise
@@ -217,14 +214,12 @@ class TestConv2d:
         for k in (1, 3):
             for h, w in [(1, 1), (1, 2), (2, 3), (3, 1)]:
                 x = rng.normal(size=(4, c_in, h, w)).astype(np.float32)
-                p = Conv2dParams(rng.normal(size=(c_out, c_in, k, k)).astype(np.float32),
-                                 rng.normal(size=c_out).astype(np.float32))
-                ref = conv2d_reference(
-                    Tensor4(x.astype(np.float64)),
-                    Conv2dParams(p.weight.astype(np.float64),
-                                 p.bias.astype(np.float64))).data
+                p = (rng.normal(size=(c_out, c_in, k, k)).astype(np.float32),
+                     rng.normal(size=c_out).astype(np.float32))
+                ref = conv2d_reference(Tensor4(x.astype(np.float64)),
+                                       *(a.astype(np.float64) for a in p)).data
                 for n in (1, 4):
-                    out = conv2d(Tensor4(x[:n]), p).data
+                    out = conv2d(Tensor4(x[:n]), *p).data
                     assert out.dtype == np.float32
                     rel = np.max(np.abs(out - ref[:n])) / np.max(np.abs(ref[:n]))
                     assert rel <= 1e-5, (n, k, h, w, rel)
@@ -238,11 +233,11 @@ class TestConv2d:
         x = rng.normal(size=(n, c, size, size)).astype(np.float32)
         assert 9 * x.size > F.COLS_BUDGET
         for k in (1, 3):
-            p = Conv2dParams(rng.normal(size=(c, c, k, k)).astype(np.float32),
-                             rng.normal(size=c).astype(np.float32))
-            whole = p.weight.transpose(0, 2, 3, 1).reshape(c, -1) @ F._unfold(x, k)
-            whole += p.bias.reshape(c, 1)
-            out = conv2d(Tensor4(x), p).data
+            weight = rng.normal(size=(c, c, k, k)).astype(np.float32)
+            bias = rng.normal(size=c).astype(np.float32)
+            whole = weight.transpose(0, 2, 3, 1).reshape(c, -1) @ F._unfold(x, k)
+            whole += bias.reshape(c, 1)
+            out = conv2d(Tensor4(x), weight, bias).data
             assert out.tobytes() == F._to_nchw(whole, out.shape).tobytes(), k
 
     @pytest.mark.parametrize("n", [4, 8])
@@ -271,10 +266,10 @@ class TestConv2d:
         rng = np.random.default_rng(3)
         for (c_in, h, w), wshape in sorted(shapes):
             x = rng.normal(size=(n, c_in, h, w)).astype(np.float32)
-            p = Conv2dParams(rng.normal(size=wshape).astype(np.float32),
-                             rng.normal(size=wshape[0]).astype(np.float32))
-            batch = conv2d(Tensor4(x), p).data
-            alone = np.concatenate([conv2d(Tensor4(x[i:i + 1]), p).data
+            p = (rng.normal(size=wshape).astype(np.float32),
+                 rng.normal(size=wshape[0]).astype(np.float32))
+            batch = conv2d(Tensor4(x), *p).data
+            alone = np.concatenate([conv2d(Tensor4(x[i:i + 1]), *p).data
                                     for i in range(n)])
             if h * w > 1:
                 assert batch.tobytes() == alone.tobytes(), (c_in, wshape, h, w)
@@ -348,12 +343,12 @@ class TestUpsampleNearest2:
 
 class TestBatchNorm:
     def bn(self, c, gamma=None, beta=None):
-        return BatchNormState(
-            gamma=np.full(c, 1.0) if gamma is None else np.asarray(gamma, float),
-            beta=np.zeros(c) if beta is None else np.asarray(beta, float),
-            running_mean=np.zeros(c),
-            running_var=np.ones(c),
-        )
+        return {
+            "gamma": np.full(c, 1.0) if gamma is None else np.asarray(gamma, float),
+            "beta": np.zeros(c) if beta is None else np.asarray(beta, float),
+            "running_mean": np.zeros(c),
+            "running_var": np.ones(c),
+        }
 
     def test_constant_input_normalizes_to_zero(self):
         x = t4(np.full((2, 3, 4, 4), 5.0))
@@ -389,16 +384,16 @@ class TestBatchNorm:
         batchnorm2d(x, s, training=True)
         mu = x.data.mean(axis=(0, 2, 3))
         var = x.data.var(axis=(0, 2, 3))
-        assert np.allclose(s.running_mean, 0.9 * 0.0 + 0.1 * mu)
-        assert np.allclose(s.running_var, 0.9 * 1.0 + 0.1 * var)
+        assert np.allclose(s["running_mean"], 0.9 * 0.0 + 0.1 * mu)
+        assert np.allclose(s["running_var"], 0.9 * 1.0 + 0.1 * var)
         # eval mode consumes the running stats and is pure
-        before = (s.running_mean.copy(), s.running_var.copy())
+        before = (s["running_mean"].copy(), s["running_var"].copy())
         out = batchnorm2d(x, s, training=False).data
-        expect = (x.data - s.running_mean.reshape(1, -1, 1, 1)) / np.sqrt(
-            s.running_var.reshape(1, -1, 1, 1) + BN_EPS)
+        expect = (x.data - s["running_mean"].reshape(1, -1, 1, 1)) / np.sqrt(
+            s["running_var"].reshape(1, -1, 1, 1) + BN_EPS)
         assert np.allclose(out, expect)
-        assert np.array_equal(before[0], s.running_mean)
-        assert np.array_equal(before[1], s.running_var)
+        assert np.array_equal(before[0], s["running_mean"])
+        assert np.array_equal(before[1], s["running_var"])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_training_forward_matches_two_pass_formula_bytewise(self, rng, dtype):

@@ -134,12 +134,12 @@ class TestAdam:
         # w=0, g=1, t=1: m_hat=1, v_hat=1 -> step is -lr/(1 + eps)
         store = self.make_store({"w": [0.0]})
         adam_step(store, AdamState(lr=1e-3), np.array([1.0]))
-        assert abs(store["w"].value[0] + 1e-3) < 1e-6
+        assert abs(store["w"][0] + 1e-3) < 1e-6
 
     def test_zero_gradient_is_noop_on_value(self):
         store = self.make_store({"w": [1.5, -2.0]})
         adam_step(store, AdamState(), np.zeros(2))
-        assert np.array_equal(store["w"].value, [1.5, -2.0])
+        assert np.array_equal(store["w"], [1.5, -2.0])
 
     def test_nan_gradient_aborts_with_name(self):
         store = self.make_store({"ok": [0.0, 0.0], "bad_param": [0.0]})
@@ -147,7 +147,7 @@ class TestAdam:
         with pytest.raises(TrainingDiverged, match="bad_param"):
             adam_step(store, state, np.array([1.0, 1.0, np.nan]))
         # the failed step changed nothing
-        assert np.array_equal(store["ok"].value, [0.0, 0.0])
+        assert np.array_equal(store["ok"], [0.0, 0.0])
         assert state.t == 0 and state.m is None
 
     def test_gradient_size_must_match_store(self):
@@ -161,10 +161,10 @@ class TestAdam:
         store.add("a", rng.normal(size=(2, 3)).astype(dtype))
         store.add("stat", rng.normal(size=4).astype(dtype), trainable=False)
         store.add("b", rng.normal(size=5).astype(dtype))
-        stat = store["stat"].value.copy()
+        stat = store["stat"].copy()
         lr, b1, b2, eps = 1e-2, 0.8, 0.99, 1e-6
         state = AdamState(lr=lr, beta1=b1, beta2=b2, eps=eps)
-        want = {n: store[n].value.copy() for n in ("a", "b")}
+        want = {n: store[n].copy() for n in ("a", "b")}
         m = {n: np.zeros_like(w) for n, w in want.items()}
         v = {n: np.zeros_like(w) for n, w in want.items()}
         for t in range(1, 5):
@@ -177,9 +177,9 @@ class TestAdam:
                 m_hat = m[n] / (1.0 - b1 ** t)
                 v_hat = v[n] / (1.0 - b2 ** t)
                 want[n] = want[n] - lr * m_hat / (np.sqrt(v_hat) + eps)
-                assert store[n].value.dtype == dtype
-                assert store[n].value.tobytes() == want[n].tobytes()
-        assert store["stat"].value.tobytes() == stat.tobytes()
+                assert store[n].dtype == dtype
+                assert store[n].tobytes() == want[n].tobytes()
+        assert store["stat"].tobytes() == stat.tobytes()
 
     def test_identical_runs_identical_trajectories(self, rng):
         init = rng.normal(size=(4,))
@@ -190,7 +190,7 @@ class TestAdam:
             state = AdamState(lr=1e-2)
             for g in grads:
                 adam_step(store, state, g)
-            return store["w"].value.tobytes()
+            return store["w"].tobytes()
 
         assert run() == run()
 
@@ -361,6 +361,6 @@ class TestTrainLoop:
         assert adam.m.tobytes() == twin_adam.m.tobytes()
         assert adam.v.tobytes() == twin_adam.v.tobytes()
         for name, p in model.params.items():
-            assert p.value.tobytes() == twin.params[name].value.tobytes()
+            assert p.value.tobytes() == twin.params[name].tobytes()
         assert any(not np.array_equal(before[name], p.value)
                    for name, p in model.params.items())
