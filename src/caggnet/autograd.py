@@ -29,8 +29,6 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .tensor_core import Tensor4
-
 
 class AutogradError(ValueError):
     """Raised for malformed tapes, bad loss shapes, or failed preconditions."""
@@ -98,8 +96,6 @@ class Tape:
     def leaf(self, value) -> Var:
         """Register an input or parameter array; repeated registration of
         the same array object returns the same id."""
-        if isinstance(value, Tensor4):
-            value = value.data
         value = np.asarray(value)
         if value.dtype not in (np.float32, np.float64):
             raise AutogradError(f"leaf dtype {value.dtype} is not float32/float64")

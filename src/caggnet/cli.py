@@ -20,37 +20,32 @@ import os
 import sys
 from pathlib import Path
 
-DEFAULT_CONFIG = {
-    "seed": 0,
-    "data_dir": None,
-    "out_dir": "out",
-    "model": {
-        "arch": "caggnet",
-        "levels": 3,
-        "columns": 2,
-        "base_channels": 8,
-        "in_channels": 1,
-        "wab_reduction": 2,
-    },
-    "loss": {
-        "kind": "focal",
-        "alpha": 0.25,
-        "gamma": 2.0,
-    },
-    "optim": {
-        "lr": 1e-3,
-        "beta1": 0.9,
-        "beta2": 0.999,
-        "eps": 1e-8,
-    },
-    "train": {
-        "epochs_max": 100,
-        "batch_size": 4,
-        "patience": 32,
-        "train_fraction": 0.8,
-        "threshold": 0.5,
-    },
-}
+
+def _defaults(cls, *names: str) -> dict:
+    return {f.name: f.default for f in dataclasses.fields(cls) if f.name in names}
+
+
+def default_config() -> dict:
+    """The config every command starts from. A leaf that a dataclass also
+    uses takes that dataclass's field default; the others are written
+    here. The imports load numpy, so they wait for `main` to pin the
+    BLAS threads."""
+    from .models import ModelConfig
+    from .train import AdamState, EarlyStopper, FocalLossConfig
+
+    return {
+        "seed": 0,
+        "data_dir": None,
+        "out_dir": "out",
+        "model": {"arch": "caggnet", **_defaults(
+            ModelConfig, "levels", "columns", "base_channels", "in_channels",
+            "wab_reduction")},
+        "loss": {"kind": "focal", **_defaults(FocalLossConfig, "alpha", "gamma")},
+        "optim": _defaults(AdamState, "lr", "beta1", "beta2", "eps"),
+        "train": {"epochs_max": 100, "batch_size": 4,
+                  **_defaults(EarlyStopper, "patience"),
+                  "train_fraction": 0.8, "threshold": 0.5},
+    }
 
 
 class CliError(Exception):
@@ -106,7 +101,7 @@ def load_config(path: str | None, overrides: dict, command: str = "train",
                 reads: tuple[str, ...] | None = None) -> dict:
     """The defaults, then the file at `path`, then `overrides`; the file may
     set only the leaves in `reads`, those `command` reads (None: all)."""
-    cfg = DEFAULT_CONFIG
+    cfg = default_config()
     if path is not None:
         try:
             with open(path) as fh:
@@ -133,9 +128,9 @@ def _leaves(node: dict, prefix: str = ""):
 
 
 def _flag_overrides(args) -> dict:
-    """Nest the set flags whose dest names a `DEFAULT_CONFIG` leaf, such as
+    """Nest the set flags whose dest names a `default_config` leaf, such as
     ``optim.lr``, into the config layout."""
-    leaves = set(_leaves(DEFAULT_CONFIG))
+    leaves = set(_leaves(default_config()))
     out: dict = {}
     for dest, value in vars(args).items():
         if dest in leaves and value is not None:
@@ -258,9 +253,13 @@ def cmd_gradcheck(args, cfg: dict) -> int:
     from . import gradcheck
     from .data_io import write_atomic
 
-    if args.json_out and not Path(args.json_out).parent.is_dir():
-        raise CliError(f"--json-out {args.json_out}: its directory does not exist")
-    scopes = ["ops", "blocks", "model"] if args.scope == "all" else [args.scope]
+    json_out = args.json_out
+    if json_out is not None:
+        if not json_out or Path(json_out).is_dir():
+            raise CliError(f"--json-out {json_out!r}: must name a file")
+        if not Path(json_out).parent.is_dir():
+            raise CliError(f"--json-out {json_out}: its directory does not exist")
+    scopes = list(gradcheck.SCOPES) if args.scope == "all" else [args.scope]
     reports = []
     for scope in scopes:
         reports.extend(gradcheck.run_scope(scope))
@@ -271,8 +270,8 @@ def cmd_gradcheck(args, cfg: dict) -> int:
         coord = f"{r.worst_coord[0]}[{r.worst_coord[1]}]"
         print(f"{r.op:<{width}}  max_rel_err={r.max_rel_err:.3e}  "
               f"worst={coord}  {status}")
-    if args.json_out:
-        write_atomic(args.json_out, json.dumps(
+    if json_out is not None:
+        write_atomic(json_out, json.dumps(
             [dataclasses.asdict(r) for r in reports], indent=2) + "\n")
     return 0 if all(r.passed for r in reports) else 1
 

@@ -43,6 +43,8 @@ class Sample:
                 f"sample {self.id}: image {self.image.h}x{self.image.w} vs "
                 f"mask {self.mask.h}x{self.mask.w}"
             )
+        # the one binary check: every loss target and metric ground truth
+        # is a Sample's mask
         if not np.all((self.mask.data == 0) | (self.mask.data == 1)):
             raise ValueError(f"sample {self.id}: mask is not binary")
 

@@ -45,8 +45,8 @@ class ConfigError(ValueError):
 
 @dataclass
 class ModelConfig:
-    levels: int = 4
-    columns: int = 3
+    levels: int = 3
+    columns: int = 2
     base_channels: int = 8
     in_channels: int = 1
     wab_reduction: int = 2

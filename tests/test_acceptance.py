@@ -79,7 +79,7 @@ def test_criterion_2_focal_identity():
     for _ in range(1000):
         pred = Tensor4(rng.uniform(0.01, 0.99, size=(1, 1, 8, 8)))
         target = Tensor4((rng.random((1, 1, 8, 8)) < 0.5).astype(np.float64))
-        pv = Tape(grad=False).leaf(pred)
+        pv = Tape(grad=False).leaf(pred.data)
         fl = float(traced_focal_loss(pv, target.data, cfg).value.reshape(()))
         ref = 0.5 * float(traced_bce_loss(pv, target.data).value.reshape(()))
         worst = max(worst, abs(fl - ref) / abs(ref))
@@ -164,7 +164,7 @@ def test_criterion_5_conv_equivalence():
         weight = rng.normal(size=(c_out, c_in, k, k))
         bias = rng.normal(size=c_out)
         t = Tape(grad=False)
-        fast = F.conv2d(t.leaf(x), t.leaf(weight), t.leaf(bias)).value
+        fast = F.conv2d(t.leaf(x.data), t.leaf(weight), t.leaf(bias)).value
         if fast.tobytes() != conv2d_reference(x, weight, bias).data.tobytes():
             mismatches += 1
     report(5, "conv kernel equivalence", mismatches == 0,
@@ -275,7 +275,7 @@ def test_criterion_9_round_trips(tmp_path, rng):
     # maxpool2 of upsample_nearest2 is the identity
     x = Tensor4(rng.normal(size=(2, 3, 6, 6)))
     t = Tape(grad=False)
-    pool_ok = np.array_equal(F.maxpool2(F.upsample_nearest2(t.leaf(x))).value, x.data)
+    pool_ok = np.array_equal(F.maxpool2(F.upsample_nearest2(t.leaf(x.data))).value, x.data)
 
     # checkpoint reload reproduces eval metrics exactly
     samples = gen_synthetic(SynthConfig(count=4, size=16, seed=9))

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -14,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import caggnet
-from caggnet.cli import DEFAULT_CONFIG, CliError, build_parser, load_config, main
+from caggnet.cli import CliError, build_parser, default_config, load_config, main
 
 
 def checksum_tree(root: Path) -> dict[str, bytes]:
@@ -152,6 +153,18 @@ class TestUsageErrors:
         assert f"\n{prog}: error: " in err
         assert not (tmp_path / "d").exists()
 
+    # a --json-out that names no file is refused before the suite runs
+    @pytest.mark.parametrize("json_out", ["", "."], ids=["empty", "directory"])
+    def test_json_out_naming_no_file_exits_1(self, tmp_path, capsys, monkeypatch,
+                                             json_out):
+        monkeypatch.chdir(tmp_path)
+        assert main(["gradcheck", "--scope", "ops", "--json-out", json_out]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--json-out {json_out!r}: must name a file" in captured.err
+        assert "Traceback" not in captured.err
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("argv", [["--help"], ["train", "--help"]])
     def test_help_exits_0(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -167,7 +180,7 @@ class TestFlags:
                    if isinstance(a, argparse._SubParsersAction))
         dests = {a.dest for a in sub.choices["train"]._actions
                  if a.option_strings} - {"help", "config"}
-        assert dests and dests <= set(config_leaves(DEFAULT_CONFIG))
+        assert dests and dests <= set(config_leaves(default_config()))
 
 
 class TestSynth:
@@ -265,6 +278,16 @@ class TestTrain:
         assert (out / "checkpoint" / "manifest.json").exists()
         assert (out / "config.json").exists()
         assert (out / "timing.csv").exists()
+
+    def test_default_model_is_model_config_default(self, dataset, tmp_path):
+        # the CLI takes its model defaults from ModelConfig
+        from caggnet.models import ModelConfig
+
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(dataset), "--out", str(out),
+                     "--epochs", "1"]) == 0
+        manifest = json.loads((out / "checkpoint" / "manifest.json").read_text())
+        assert manifest["config"] == dataclasses.asdict(ModelConfig(seed=0, dtype="single"))
 
     def test_missing_dataset_exits_1(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "nope"),
@@ -420,8 +443,8 @@ def nested(leaf: str, value) -> dict:
 
 
 # every float leaf of the default config
-FLOAT_LEAVES = [leaf for leaf in config_leaves(DEFAULT_CONFIG)
-                if isinstance(functools.reduce(dict.get, leaf.split("."), DEFAULT_CONFIG),
+FLOAT_LEAVES = [leaf for leaf in config_leaves(default_config())
+                if isinstance(functools.reduce(dict.get, leaf.split("."), default_config()),
                               float)]
 
 
@@ -445,7 +468,7 @@ class TestNonFiniteConfig:
 def mutated_config(draw) -> tuple[dict, str]:
     """A config file with one leaf mutated, and the name an error about it
     must contain."""
-    leaf = draw(st.sampled_from(sorted(config_leaves(DEFAULT_CONFIG))))
+    leaf = draw(st.sampled_from(sorted(config_leaves(default_config()))))
     kind = draw(st.sampled_from(["wrong-type", "non-finite", "out-of-range",
                                  "unknown-key"]))
     if kind == "unknown-key":
@@ -478,7 +501,7 @@ class TestConfigFuzz:
 
 
 class TestKnobs:
-    """Every leaf of `DEFAULT_CONFIG` takes effect on a training run, or is
+    """Every leaf of `default_config()` takes effect on a training run, or is
     listed with the reason it cannot."""
 
     # a value other than the default for each leaf; the base run is the
@@ -538,7 +561,7 @@ class TestKnobs:
     def test_table_covers_every_leaf(self):
         assert not self.EFFECTIVE.keys() & self.WITHOUT_EFFECT.keys()
         assert sorted(self.EFFECTIVE.keys() | self.WITHOUT_EFFECT.keys()) == \
-            sorted(config_leaves(DEFAULT_CONFIG))
+            sorted(config_leaves(default_config()))
 
     @pytest.mark.parametrize("leaf", sorted(EFFECTIVE))
     def test_knob_changes_config_and_outputs(self, base, leaf):

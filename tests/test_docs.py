@@ -6,7 +6,7 @@ import re
 import shlex
 from pathlib import Path
 
-from caggnet.cli import DEFAULT_CONFIG, _leaves, build_parser, load_config
+from caggnet.cli import _leaves, build_parser, default_config, load_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -30,7 +30,7 @@ def test_config_example_loads_as_a_train_config(tmp_path):
     path.write_text(block)
     load_config(str(path), {}, "train", None)
     # it shows every key
-    assert sorted(_leaves(json.loads(block))) == sorted(_leaves(DEFAULT_CONFIG))
+    assert sorted(_leaves(json.loads(block))) == sorted(_leaves(default_config()))
 
 
 def test_cli_examples_parse():

@@ -14,7 +14,7 @@ from caggnet.metrics import (
     sensitivity,
     summarize,
 )
-from caggnet.tensor_core import Tensor4, TensorError
+from caggnet.tensor_core import Tensor4
 
 
 def t4(data):
@@ -81,10 +81,6 @@ class TestConfusion:
         gt = t4((rng.random((2, 1, 8, 8)) < 0.4).astype(float))
         c = confusion(pred, gt)
         assert c.tp + c.fp + c.fn + c.tn == 2 * 8 * 8
-
-    def test_non_binary_rejected(self):
-        with pytest.raises(TensorError, match="binary"):
-            confusion(t4([[[[0.5]]]]), t4([[[[1.0]]]]))
 
 
 class TestIouF1:

@@ -10,10 +10,11 @@ from caggnet.gradcheck import conv2d_reference
 from caggnet.tensor_core import ShapeError, Tensor4
 
 
-def eager(op, *arrays, **kwargs):
-    """One functional op applied on a tape that records nothing."""
+def eager(op, x, *arrays, **kwargs):
+    """One functional op applied to a Tensor4 and parameter arrays on a
+    tape that records nothing."""
     t = Tape(grad=False)
-    return Tensor4(op(*[t.leaf(a) for a in arrays], **kwargs).value)
+    return Tensor4(op(t.leaf(x.data), *[t.leaf(a) for a in arrays], **kwargs).value)
 
 
 def conv2d(x, weight, bias):

@@ -8,10 +8,10 @@ from caggnet.autograd import RULES, Tape
 from caggnet.tensor_core import ShapeError, Tensor4, TensorError
 
 
-def eager(op, *arrays):
+def eager(op, *tensors):
     """One functional op applied on a tape that records nothing."""
     t = Tape(grad=False)
-    return Tensor4(op(*[t.leaf(a) for a in arrays]).value)
+    return Tensor4(op(*[t.leaf(a.data) for a in tensors]).value)
 
 
 def add(a, b):

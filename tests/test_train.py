@@ -10,7 +10,7 @@ from caggnet import models
 from caggnet import train as train_mod
 from caggnet.autograd import Tape, backward
 from caggnet.models import ModelConfig, ParamStore, build_caggnet
-from caggnet.tensor_core import ShapeError, Tensor4, TensorError
+from caggnet.tensor_core import ShapeError, Tensor4
 from caggnet.train import (
     AdamState,
     EarlyStopper,
@@ -49,11 +49,6 @@ class TestBceLoss:
         loss = loss_value(traced_bce_loss, prob_map([[[[0.9]]]]),
                           prob_map([[[[1.0]]]]))
         assert abs(loss - 0.10536051565782628) < 1e-15
-
-    def test_non_binary_target_rejected(self):
-        with pytest.raises(TensorError, match="binary"):
-            loss_value(traced_bce_loss, prob_map([[[[0.5]]]]),
-                       prob_map([[[[0.5]]]]))
 
     def test_saturated_wrong_prediction_is_clamped(self):
         # p = 0 against y = 1 and p = 1 against y = 0 each cost -log(CLAMP_EPS)
