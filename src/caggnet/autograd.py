@@ -5,9 +5,10 @@ executed during a forward pass. Each recorded node stores the ids of its
 operand tensors, whatever forward values its backward rule needs, and the
 id of the tensor it produced. Ids index into the tape's value table;
 leaves (inputs and parameters) are registered with `Tape.leaf` and have no
-node. `backward` takes the loss `Var` and walks the node list in
-reverse, applying one registered backward rule per operation kind and
-summing gradient contributions over all paths.
+node. `backward` takes an output `Var` and the cotangent to start from
+(1 for a scalar loss) and walks the node list in reverse, applying one
+registered backward rule per operation kind and summing gradient
+contributions over all paths.
 
 A tape built with ``Tape(grad=False)`` checks operands exactly like a
 recording one but keeps no values and no nodes, in the spirit of
@@ -16,8 +17,9 @@ PyTorch's ``no_grad``: eval forwards use it, and `backward` refuses it.
 The rules are registered by the modules that define the ops
 (`functional` for layer and tensor ops, `train` for the losses); this
 module only provides the machinery plus the finite-difference oracle used
-to validate every rule, which takes the function that builds the loss
-graph and runs `backward` on it itself.
+to validate every rule, which takes the function that builds the checked
+graph, weights its output by a fixed random cotangent and runs `backward`
+on it itself.
 """
 
 from __future__ import annotations
@@ -127,30 +129,37 @@ class Tape:
         return Var(self, out, out_value)
 
 
-def backward(tape: Tape, loss: Var) -> dict[int, np.ndarray]:
-    """Reverse-accumulate d(loss)/d(x) for every leaf on the tape.
+def backward(tape: Tape, out: Var,
+             grad: np.ndarray | None = None) -> dict[int, np.ndarray]:
+    """Reverse-accumulate the gradient of sum(out * grad) w.r.t. every leaf.
 
+    `grad` is the cotangent the walk starts from and must have `out`'s
+    shape. Without it, `out` must be the loss, of shape (1, 1, 1, 1), and
+    the walk starts from 1. `out` must be a Var recorded on `tape`.
     Returns the leaves' gradients keyed by tape id; an absent id has a
     zero gradient. A node's output gradient is complete once the walk
     reaches that node, so it is dropped there: the live gradients are
     the frontier of the walk, not the whole tape. The tape itself is only
     read, so `backward` can run on it again.
-    The loss must be a Var recorded on `tape` with shape (1, 1, 1, 1).
     Gradients over multiple paths are summed; traversal order is fixed
     (reverse recording order, inputs in recorded order) so replays are
     bit-identical.
     """
     if not tape.grad:
         raise AutogradError("backward needs a recording tape, not Tape(grad=False)")
-    if loss.tape is not tape:
+    if out.tape is not tape:
         raise AutogradError("the loss was recorded on another tape")
-    if loss.value.shape != (1, 1, 1, 1):
+    if grad is None:
+        if out.value.shape != (1, 1, 1, 1):
+            raise AutogradError(
+                f"loss must have shape (1, 1, 1, 1), got {out.value.shape}"
+            )
+        grad = np.ones((1, 1, 1, 1), dtype=out.value.dtype)
+    elif grad.shape != out.value.shape:
         raise AutogradError(
-            f"loss must have shape (1, 1, 1, 1), got {loss.value.shape}"
+            f"grad shape {grad.shape} differs from the output shape {out.value.shape}"
         )
-    grads: dict[int, np.ndarray] = {
-        loss.id: np.ones((1, 1, 1, 1), dtype=loss.value.dtype)
-    }
+    grads: dict[int, np.ndarray] = {out.id: grad}
     for node in reversed(tape.nodes):
         g = grads.pop(node.out, None)
         if g is None:
@@ -194,10 +203,14 @@ def finite_diff_check(build: Callable, params: Mapping[str, np.ndarray],
     """Compare tape gradients against central finite differences.
 
     `params` maps names to parameter arrays, and `build(params)` records a
-    deterministic scalar loss of them on a fresh recording tape, returning
-    ``(loss_var, leaves)`` with `leaves` mapping parameter names to their
-    leaf Vars (a missing name has a zero gradient). The first build is
-    run through `backward`; every other build is only evaluated.
+    deterministic output of them, of any shape, on a fresh recording
+    tape, returning ``(out_var, leaves)`` with `leaves` mapping parameter
+    names to their leaf Vars (a missing name has a zero gradient). The
+    checked function is sum(out * r), for a fixed cotangent r drawn
+    uniform in [0.5, 1.5) in the output's shape from seed 1,
+    so that transposed-index mistakes cannot cancel out; a scalar output
+    is weighted too. The first build is run through `backward` seeded
+    with r; every other build is only evaluated.
     Parameters must be float64; each coordinate is perturbed in place by
     +-FD_EPS and the central difference (f(p+eps) - f(p-eps)) / (2 eps)
     is compared to the tape gradient using the relative error
@@ -212,14 +225,16 @@ def finite_diff_check(build: Callable, params: Mapping[str, np.ndarray],
                 f"finite_diff_check needs float64 params; {pname} is {arr.dtype}"
             )
 
-    def f(p) -> float:
-        return float(build(p)[0].value.reshape(()))
+    out, leaves = build(params)
+    r = np.random.default_rng(1).uniform(0.5, 1.5, size=out.value.shape)
 
-    loss_var, leaves = build(params)
-    loss0 = float(loss_var.value.reshape(()))
-    if not math.isfinite(loss0):
-        raise AutogradError(f"non-finite loss {loss0} at the base point")
-    tape_grads = backward(loss_var.tape, loss_var)
+    def f(p) -> float:
+        return float((build(p)[0].value * r).sum())
+
+    f0 = float((out.value * r).sum())
+    if not math.isfinite(f0):
+        raise AutogradError(f"non-finite output {f0} at the base point")
+    tape_grads = backward(out.tape, out, r)
     grads = {n: tape_grads.get(v.id) for n, v in leaves.items()}
 
     max_rel = 0.0

@@ -174,8 +174,14 @@ def cmd_train(args, cfg: dict) -> int:
     if arch not in BUILDERS:
         raise CliError(f"config key 'model.arch' must be one of "
                        f"{', '.join(BUILDERS)}, got {arch!r}")
-    model = BUILDERS[arch](ModelConfig(**model_section, seed=cfg["seed"],
-                                       dtype="single"))
+    try:
+        model = BUILDERS[arch](ModelConfig(**model_section, seed=cfg["seed"],
+                                           dtype="single"))
+    except MemoryError:
+        keys = ", ".join(f"'model.{k}' {model_section[k]}"
+                         for k in ("levels", "columns", "base_channels"))
+        raise CliError(f"the {arch} model's parameters do not fit in memory "
+                       f"at config keys {keys}") from None
     samples, manifest = _load_dataset(cfg, model.cfg)
     if "split" in manifest:
         train_set, val_set = split_from_manifest(samples, manifest)
@@ -285,7 +291,6 @@ def cmd_synth(args, cfg: dict) -> int:
              if f.name != "seed" and getattr(args, f.name) is not None}
     try:
         synth = data_io.SynthConfig(**shape, seed=cfg["seed"])
-        synth.validate()
         samples = data_io.gen_synthetic(synth)
         n_train = int(round(cfg["train"]["train_fraction"] * len(samples)))
         if synth.count == 1:
@@ -299,6 +304,9 @@ def cmd_synth(args, cfg: dict) -> int:
         data_io.save_dataset(out_dir, samples, split_ids)
     except (ValueError, OSError) as e:
         raise CliError(str(e))
+    except MemoryError:
+        raise CliError(f"--count {synth.count} images of --size {synth.size}: "
+                       f"they do not fit in memory") from None
     print(f"wrote {len(samples)} samples to {cfg['out_dir']}")
     return 0
 

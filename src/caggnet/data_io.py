@@ -103,12 +103,11 @@ def _next_token(buf: bytes, pos: int) -> tuple[bytes, int]:
 
 
 def _parse_int(token: bytes, pos: int, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise NetpbmError(
-            f"bad {what} {token!r} ending at byte {pos}"
-        ) from None
+    """A header integer, ASCII digits only: `int` alone would also take a
+    sign and underscores."""
+    if not token.isdigit():
+        raise NetpbmError(f"bad {what} {token!r} ending at byte {pos}")
+    return int(token)
 
 
 def read_netpbm(path) -> Tensor4:

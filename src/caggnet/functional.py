@@ -6,7 +6,10 @@ registered in `autograd.RULES` under the op's name at import time.
 Training, eval and one-off calls all go through these functions; eval
 runs them on a ``Tape(grad=False)``, which checks operands but keeps
 nothing. An op takes only the arrays it reads: `batchnorm2d` gets its
-two running-statistic arrays, which `blocks` looks up by name.
+two running-statistic arrays, which `blocks` looks up by name. Every op
+here runs in a model, a block or a loss; the gradient checker weights an
+op's output with a cotangent of its own, so no op exists to reduce an
+output to a scalar.
 
 Every convolution path yields the dense channel-major (c_out, n*h*w)
 output that `_to_nchw` turns into NCHW. Float64 adds one input channel
@@ -69,28 +72,6 @@ def add(a: Var, b: Var) -> Var:
 
 def _add_bwd(node: TapeNode, g: np.ndarray):
     return g, g
-
-
-def mul(a: Var, b: Var) -> Var:
-    if a.value.shape != b.value.shape:
-        raise ShapeError(f"mul shape mismatch: {a.value.shape} vs {b.value.shape}")
-    return a.tape.record("mul", (a, b), a.value * b.value, ctx=(a.value, b.value))
-
-
-def _mul_bwd(node: TapeNode, g: np.ndarray):
-    av, bv = node.ctx
-    return g * bv, g * av
-
-
-def sum_all(a: Var) -> Var:
-    """Sum of all elements, as a scalar-shaped (1, 1, 1, 1) tensor."""
-    out = a.value.sum().reshape(1, 1, 1, 1)
-    return a.tape.record("sum_all", (a,), out, ctx=(a.value.shape,))
-
-
-def _sum_all_bwd(node: TapeNode, g: np.ndarray):
-    (shape,) = node.ctx
-    return (np.full(shape, g.reshape(()), dtype=g.dtype),)
 
 
 def concat_channels(parts: list[Var]) -> Var:
@@ -379,8 +360,6 @@ def _global_avg_pool_bwd(node: TapeNode, g: np.ndarray):
 
 
 register_backward("add", _add_bwd)
-register_backward("mul", _mul_bwd)
-register_backward("sum_all", _sum_all_bwd)
 register_backward("concat_channels", _concat_channels_bwd)
 register_backward("channel_scale", _channel_scale_bwd)
 register_backward("conv2d", _conv2d_bwd)

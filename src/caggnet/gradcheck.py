@@ -3,15 +3,14 @@ block, and model.
 
 Each op and block check is one `_check_op` call: a name, a function of
 the leaf Vars, and the float64 inputs to check it at. `_check_op` turns
-that into the builder of a scalar loss graph and hands it to
-`finite_diff_check`, as `_check_full_model` does for a whole model. The op
-checks form one table in `op_checks`, which draws every input from one
-generator in table order. Inputs are constructed to stay away from the
-non-smooth points of relu/maxpool (values come from shuffled evenly
-spaced grids, so gaps are far larger than the perturbation step) and from
-the probability clamps in the losses. Outputs are reduced to a scalar
-through a fixed random weighting so transposed-index mistakes cannot
-cancel out.
+that into the builder of the op's output graph and hands it to
+`finite_diff_check`, as `_check_full_model` does for a whole model's
+loss; the checker weights an output of any shape. The op checks form one
+table in `op_checks`, which draws every input from one generator in table
+order. Inputs are constructed to stay away from the non-smooth points of
+relu/maxpool (values come from shuffled evenly spaced grids, so gaps are
+far larger than the perturbation step) and from the probability clamps
+in the losses.
 
 `conv2d_reference` is the convolution oracle: a naive scalar loop kept
 free of any code shared with `functional.conv2d`, so that in double
@@ -81,25 +80,15 @@ def _spread(rng: np.random.Generator, shape, low=-1.0, high=1.0,
     return vals[:size].reshape(shape).astype(np.float64)
 
 
-def _weighted_scalar(out, rng: np.random.Generator):
-    """Reduce a Var to a scalar via a fixed random linear functional."""
-    r = out.tape.leaf(rng.uniform(0.5, 1.5, size=out.value.shape))
-    return F.sum_all(F.mul(out, r))
-
-
 # --- op-level checks ---------------------------------------------------------
 
-def _check_op(name, op, params, reduce=True) -> CheckReport:
+def _check_op(name, op, params) -> CheckReport:
     """Check `op`, which maps a dict of leaf Vars (one per entry of
-    `params`) to a Var; a non-scalar output is reduced through
-    `_weighted_scalar`."""
+    `params`) to a Var of any shape."""
     def build(p):
         t = Tape()
         lv = {k: t.leaf(arr) for k, arr in p.items()}
-        out = op(lv)
-        if reduce:
-            out = _weighted_scalar(out, np.random.default_rng(1))
-        return out, lv
+        return op(lv), lv
 
     return finite_diff_check(build, params, name=name)
 
@@ -136,10 +125,6 @@ def op_checks(seed: int = 0) -> list[CheckReport]:
     return [
         _check_op("add", lambda v: F.add(v["a"], v["b"]),
                   {"a": s((2, 3, 4, 4)), "b": s((2, 3, 4, 4))}),
-        _check_op("mul", lambda v: F.mul(v["a"], v["b"]),
-                  {"a": s((1, 2, 4, 4)), "b": s((1, 2, 4, 4))}),
-        _check_op("sum_all", lambda v: F.sum_all(v["a"]),
-                  {"a": s((2, 2, 3, 3))}, reduce=False),
         _check_op("concat_channels", lambda v: F.concat_channels([v["a"], v["b"]]),
                   {"a": s((2, 2, 4, 4)), "b": s((2, 3, 4, 4))}),
         _check_op("channel_scale", lambda v: F.channel_scale(v["x"], v["w"]),
@@ -160,15 +145,13 @@ def op_checks(seed: int = 0) -> list[CheckReport]:
                   {"x": s((2, 3, 4, 4), -3.0, 3.0)}),
         _check_op("global_avg_pool", lambda v: F.global_avg_pool(v["x"]),
                   {"x": s((2, 3, 4, 4))}),
-        _check_op("bce_loss", *_loss_case(rng, T.traced_bce_loss), reduce=False),
+        _check_op("bce_loss", *_loss_case(rng, T.traced_bce_loss)),
         _check_op("focal_loss_g2",
                   *_loss_case(rng, T.traced_focal_loss,
-                              T.FocalLossConfig(alpha=0.25, gamma=2.0)),
-                  reduce=False),
+                              T.FocalLossConfig(alpha=0.25, gamma=2.0))),
         _check_op("focal_loss_g0",
                   *_loss_case(rng, T.traced_focal_loss,
-                              T.FocalLossConfig(alpha=0.25, gamma=0.0)),
-                  reduce=False),
+                              T.FocalLossConfig(alpha=0.25, gamma=0.0))),
     ]
 
 

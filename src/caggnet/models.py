@@ -409,7 +409,11 @@ def load_checkpoint(directory):
         cfg.validate()
     except ConfigError as e:
         raise ConfigError(f"checkpoint {directory} config: {e}") from e
-    model = BUILDERS[manifest["arch"]](cfg)
+    try:
+        model = BUILDERS[manifest["arch"]](cfg)
+    except MemoryError:
+        raise ConfigError(f"checkpoint {directory} config: the {manifest['arch']} "
+                          f"model's parameters do not fit in memory") from None
     listed, names = manifest["params"], model.params.names()
     if listed != names:
         at = next((i for i, (a, b) in enumerate(zip(listed, names)) if a != b),

@@ -17,48 +17,55 @@ def leaf(tape, data):
     return tape.leaf(np.asarray(data, dtype=np.float64))
 
 
+def ones_like(v):
+    return np.ones_like(v.value)
+
+
 class TestBackwardBasics:
     def test_sum_gradient_is_ones(self):
+        # a ones cotangent asks for the gradient of sum(x + c)
         t = Tape()
         x = leaf(t, np.arange(4.0).reshape(1, 1, 2, 2))
-        loss = F.sum_all(x)
-        grads = backward(t, loss)
+        out = F.add(x, leaf(t, np.ones((1, 1, 2, 2))))
+        grads = backward(t, out, ones_like(out))
         assert np.array_equal(grads.get(x.id), np.ones((1, 1, 2, 2)))
 
     def test_sum_of_squares_hand_gradient(self):
-        # d/dx sum(x*x) = 2x, so x = [1, 2] gives [2, 4]
+        # d/dx sum(x*x) = 2x, so x = [1, 2] gives [2, 4]; x scales itself
+        # per channel, so the gradient takes both operand paths
         t = Tape()
-        x = leaf(t, np.array([1.0, 2.0]).reshape(1, 1, 1, 2))
-        loss = F.sum_all(F.mul(x, x))
-        grads = backward(t, loss)
-        assert np.allclose(grads.get(x.id), [[[[2.0, 4.0]]]], atol=0, rtol=0)
+        x = leaf(t, np.array([1.0, 2.0]).reshape(1, 2, 1, 1))
+        out = F.channel_scale(x, x)
+        grads = backward(t, out, ones_like(out))
+        assert np.allclose(grads.get(x.id), [[[[2.0]], [[4.0]]]], atol=0, rtol=0)
 
     def test_disconnected_leaf_has_no_gradient(self):
         t = Tape()
         x = leaf(t, np.ones((1, 1, 2, 2)))
         p = leaf(t, np.ones((1, 1, 3, 3)))
-        loss = F.sum_all(x)
-        grads = backward(t, loss)
+        out = F.relu(x)
+        grads = backward(t, out, ones_like(out))
         assert grads.get(p.id) is None
         assert p.id not in grads
 
     def test_multi_path_accumulation(self):
         t = Tape()
         x = leaf(t, np.full((1, 1, 2, 2), 3.0))
-        loss = F.sum_all(F.add(x, x))
-        grads = backward(t, loss)
+        out = F.add(x, x)
+        grads = backward(t, out, ones_like(out))
         assert np.array_equal(grads.get(x.id), np.full((1, 1, 2, 2), 2.0))
 
     def test_result_holds_only_the_reached_leaves(self):
         # interior gradients are dropped once their node is reached
         t = Tape()
         x = leaf(t, np.full((1, 1, 2, 2), 3.0))
-        w = leaf(t, np.full((1, 1, 2, 2), 0.5))
+        w = leaf(t, np.full((1, 1, 1, 1), 0.5))
         leaf(t, np.ones((1, 1, 2, 2)))
-        loss = F.sum_all(F.add(F.relu(F.mul(x, w)), x))
-        grads = backward(t, loss)
+        out = F.add(F.relu(F.channel_scale(x, w)), x)
+        grads = backward(t, out, ones_like(out))
         assert set(grads) == {x.id, w.id}
         assert np.array_equal(grads[x.id], np.full((1, 1, 2, 2), 1.5))
+        assert np.array_equal(grads[w.id], np.full((1, 1, 1, 1), 12.0))
 
     def test_non_scalar_loss_rejected(self):
         t = Tape()
@@ -70,9 +77,16 @@ class TestBackwardBasics:
     def test_foreign_loss_rejected(self):
         t, other = Tape(), Tape()
         leaf(t, np.ones((1, 1, 1, 1)))
-        loss = F.sum_all(leaf(other, np.ones((1, 1, 2, 2))))
+        loss = F.relu(leaf(other, np.ones((1, 1, 1, 1))))
         with pytest.raises(AutogradError, match="another tape"):
             backward(t, loss)
+
+    def test_cotangent_of_another_shape_rejected(self):
+        t = Tape()
+        out = F.relu(leaf(t, np.ones((1, 1, 2, 2))))
+        with pytest.raises(AutogradError,
+                           match=r"\(1, 1, 2, 1\).*\(1, 1, 2, 2\)"):
+            backward(t, out, np.ones((1, 1, 2, 1)))
 
     def test_mixed_dtypes_rejected(self):
         t = Tape()
@@ -90,36 +104,29 @@ class TestBackwardBasics:
 
 
 class TestLinearityAndReplay:
-    def test_backward_is_linear(self, rng):
-        xv = rng.normal(size=(1, 2, 3, 3))
-        yv = rng.normal(size=(1, 2, 3, 3))
-        a, b = 1.7, -0.3
-
-        def grads_of(scale_a, scale_b):
-            t = Tape()
-            x = t.leaf(xv)
-            y = t.leaf(yv)
-            l1 = F.sum_all(F.mul(x, x))
-            l2 = F.sum_all(F.mul(x, y))
-            ca = t.leaf(np.full((1, 1, 1, 1), scale_a))
-            cb = t.leaf(np.full((1, 1, 1, 1), scale_b))
-            combined = F.add(F.mul(l1, ca), F.mul(l2, cb))
-            g = backward(t, combined)
-            return g.get(x.id)
-
-        combo = grads_of(a, b)
-        g1 = grads_of(1.0, 0.0)
-        g2 = grads_of(0.0, 1.0)
-        assert np.max(np.abs(combo - (a * g1 + b * g2))) < 1e-10
-
-    def test_replay_is_bit_identical(self, rng):
+    @staticmethod
+    def graph(rng):
         t = Tape()
         x = t.leaf(rng.normal(size=(1, 2, 4, 4)))
         w = t.leaf(rng.normal(size=(3, 2, 3, 3)))
         b = t.leaf(np.zeros(3))
-        loss = F.sum_all(F.relu(F.conv2d(x, w, b)))
-        g1 = backward(t, loss)
-        g2 = backward(t, loss)
+        return t, x, F.relu(F.conv2d(x, w, b))
+
+    def test_backward_is_linear(self, rng):
+        t, x, out = self.graph(rng)
+        g1 = rng.normal(size=out.value.shape)
+        g2 = rng.normal(size=out.value.shape)
+        a, b = 1.7, -0.3
+        combo = backward(t, out, a * g1 + b * g2)[x.id]
+        d1 = backward(t, out, g1)[x.id]
+        d2 = backward(t, out, g2)[x.id]
+        assert np.max(np.abs(combo - (a * d1 + b * d2))) < 1e-10
+
+    def test_replay_is_bit_identical(self, rng):
+        t, _, out = self.graph(rng)
+        g = rng.normal(size=out.value.shape)
+        g1 = backward(t, out, g)
+        g2 = backward(t, out, g)
         for tid, arr in g1.items():
             assert arr.tobytes() == g2.get(tid).tobytes()
 
@@ -127,12 +134,13 @@ class TestLinearityAndReplay:
 class TestFiniteDiffCheck:
     @staticmethod
     def quadratic(params):
+        # x * x per channel; the checker weights and sums it
         t = Tape()
         x = t.leaf(params["x"])
-        return F.sum_all(F.mul(x, x)), {"x": x}
+        return F.channel_scale(x, x), {"x": x}
 
     def test_quadratic(self, rng):
-        params = {"x": rng.normal(size=(1, 1, 3, 3))}
+        params = {"x": rng.normal(size=(1, 9, 1, 1))}
         report = finite_diff_check(self.quadratic, params, name="quadratic")
         assert report.passed
         assert report.max_rel_err < 1e-8
@@ -159,7 +167,7 @@ class TestFiniteDiffCheck:
 
     def test_sampled_coordinates_capped(self, rng):
         calls = {"n": 0}
-        params = {"x": rng.normal(size=(1, 1, 40, 40))}
+        params = {"x": rng.normal(size=(1, 1600, 1, 1))}
 
         def counting(p):
             calls["n"] += 1
@@ -171,12 +179,39 @@ class TestFiniteDiffCheck:
         assert calls["n"] == 1 + 2 * FD_MAX_COORDS == 1 + 2 * 256
 
     def test_report_json_shape(self, rng):
-        params = {"x": rng.normal(size=(1, 1, 2, 2))}
+        params = {"x": rng.normal(size=(1, 4, 1, 1))}
         report = finite_diff_check(self.quadratic, params, name="quad")
         payload = json.loads(report.to_json())
         assert set(payload) == {"op", "max_rel_err", "worst_coord", "passed"}
         assert payload["op"] == "quad"
         assert payload["passed"] is True
+
+    def test_transposed_rule_caught_on_non_scalar_output(self, rng, monkeypatch):
+        # a rule that swaps two entries of a gradient: an unweighted sum
+        # of the output would not see it, the checker's cotangent does
+        from caggnet.autograd import RULES
+
+        params = {"a": rng.normal(size=(1, 1, 2, 2)),
+                  "b": rng.normal(size=(1, 1, 2, 2))}
+
+        def build(p):
+            t = Tape()
+            lv = {k: t.leaf(arr) for k, arr in p.items()}
+            return F.add(lv["a"], lv["b"]), lv
+
+        assert finite_diff_check(build, params).passed
+        right = RULES["add"]
+
+        def transposed(node, g):
+            ga, gb = right(node, g)
+            ga = ga.copy()
+            ga[0, 0, 0, [0, 1]] = ga[0, 0, 0, [1, 0]]
+            return ga, gb
+
+        monkeypatch.setitem(RULES, "add", transposed)
+        report = finite_diff_check(build, params)
+        assert not report.passed
+        assert report.worst_coord in (("a", 0), ("a", 1))
 
 
 class TestRegistry:
@@ -216,15 +251,15 @@ class TestNoGrad:
     def test_records_nothing(self):
         t = Tape(grad=False)
         x = leaf(t, np.full((1, 1, 2, 2), 2.0))
-        y = F.sum_all(F.mul(x, x))
+        y = F.relu(F.add(x, x))
         assert (x.id, y.id) == (-1, -1)
         assert t.values == [] and t.nodes == []
         assert t.leaf_id_for(x.value) is None
-        assert float(y.value.reshape(())) == 16.0
+        assert np.array_equal(y.value, np.full((1, 1, 2, 2), 4.0))
 
     def test_backward_rejected(self):
         t = Tape(grad=False)
-        loss = F.sum_all(leaf(t, np.ones((1, 1, 2, 2))))
+        loss = F.relu(leaf(t, np.ones((1, 1, 1, 1))))
         with pytest.raises(AutogradError, match="recording tape"):
             backward(t, loss)
 

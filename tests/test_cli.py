@@ -211,6 +211,14 @@ class TestSynth:
         code = main(["synth", "--out", str(tmp_path / "x"), "--size", "24"])
         assert code == 1
 
+    def test_size_too_large_to_allocate_exits_1_naming_it(self, tmp_path, capsys):
+        # the pixel grid alone would take more than a 47-bit address space
+        out = tmp_path / "x"
+        assert main(["synth", "--out", str(out), "--size", "16777216"]) == 1
+        err = capsys.readouterr().err
+        assert "--size 16777216" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("fraction", [1.5, 1.0, 0.0, -0.25])
     def test_train_fraction_out_of_range_exits_1_naming_it(self, tmp_path, capsys,
                                                            fraction):
@@ -295,6 +303,16 @@ class TestTrain:
 
     def test_no_dataset_flag_exits_1(self, tmp_path):
         assert main(["train", "--out", str(tmp_path / "r")]) == 1
+
+    def test_model_too_wide_to_allocate_exits_1_naming_it(self, dataset, tmp_path,
+                                                          capsys):
+        # the first weight alone would take more than a 47-bit address space
+        out = tmp_path / "r"
+        assert main(["train", "--data", str(dataset), "--out", str(out),
+                     "--base-channels", str(2**50)]) == 1
+        err = capsys.readouterr().err
+        assert f"'model.base_channels' {2**50}" in err and "Traceback" not in err
+        assert not out.exists()
 
     # a removed key is refused like any other unknown key
     @pytest.mark.parametrize("config,named", [
@@ -735,6 +753,10 @@ class TestEval:
                           "config: seed must be >= 0"),
         "levels-out-of-range": (lambda m: m["config"].update(levels=1),
                                 "config: levels must be >= 2"),
+        # the first weight alone would take more than a 47-bit address space
+        "too-wide-to-allocate": (lambda m: m["config"].update(base_channels=2**50),
+                                 "config: the caggnet model's parameters do not "
+                                 "fit in memory"),
     }
 
     @pytest.mark.parametrize("case", sorted(CHECKPOINT_CORRUPTIONS))

@@ -76,6 +76,19 @@ class TestReadNetpbm:
             read_netpbm(path)
         assert str(path) in str(exc.value)
 
+    # headers that Python's `int` would read as 4x4 with maxval 255
+    @pytest.mark.parametrize("header, named", [
+        (b"P5 +4 4 255\n", "bad width b'+4' ending at byte 5"),
+        (b"P5 4 4 2_55\n", "bad maxval b'2_55' ending at byte 11"),
+        (b"P5 0_4 +4 +255\n", "bad width b'0_4' ending at byte 6"),
+    ])
+    def test_header_integers_must_be_ascii_digits(self, tmp_path, header, named):
+        path = tmp_path / "s.pgm"
+        path.write_bytes(header + bytes(16))
+        with pytest.raises(NetpbmError) as exc:
+            read_netpbm(path)
+        assert named in str(exc.value) and str(path) in str(exc.value)
+
     def test_header_comments_skipped(self, tmp_path):
         path = tmp_path / "c.pgm"
         path.write_bytes(b"P5\n# a comment\n2 1\n# another\n255\n" + bytes([7, 9]))
