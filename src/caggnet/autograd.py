@@ -137,10 +137,12 @@ def backward(tape: Tape, out: Var,
     shape. Without it, `out` must be the loss, of shape (1, 1, 1, 1), and
     the walk starts from 1. `out` must be a Var recorded on `tape`.
     Returns the leaves' gradients keyed by tape id; an absent id has a
-    zero gradient. A node's output gradient is complete once the walk
-    reaches that node, so it is dropped there: the live gradients are
-    the frontier of the walk, not the whole tape. The tape itself is only
-    read, so `backward` can run on it again.
+    zero gradient. A returned gradient may be `grad` itself or an array
+    that other leaves share (`add` passes its gradient on as it is), so
+    callers must treat them as read-only. A node's output gradient is
+    complete once the walk reaches that node, so it is dropped there: the
+    live gradients are the frontier of the walk, not the whole tape. The
+    tape itself is only read, so `backward` can run on it again.
     Gradients over multiple paths are summed; traversal order is fixed
     (reverse recording order, inputs in recorded order) so replays are
     bit-identical.

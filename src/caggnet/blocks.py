@@ -66,7 +66,7 @@ def cam_forward(x_same_prev: Var, x_above: Var | None, x_below: Var | None,
         parts.append(F.maxpool2(x_above))
     if x_below is not None:
         parts.append(F.upsample_nearest2(x_below))
-    z = parts[0] if len(parts) == 1 else F.concat_channels(parts)
+    z = F.concat_channels(parts)
     del parts  # the pooled and upsampled parts die once concatenated
     return F.add(x_same_prev, conv_block_forward(z, params, name, training))
 

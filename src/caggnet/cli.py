@@ -103,15 +103,12 @@ def load_config(path: str | None, overrides: dict, command: str = "train",
     set only the leaves in `reads`, those `command` reads (None: all)."""
     cfg = default_config()
     if path is not None:
+        from .data_io import read_json
+
         try:
-            with open(path) as fh:
-                user = json.load(fh)
+            user = read_json(path)
         except FileNotFoundError:
             raise CliError(f"config file not found: {path}")
-        except json.JSONDecodeError as e:
-            raise CliError(f"config file {path} is not valid JSON: {e}")
-        if not isinstance(user, dict):
-            raise CliError("config root must be a JSON object")
         for leaf in _leaves(user):
             if reads is not None and leaf not in reads:
                 raise CliError(f"config key {leaf!r} is not read by {command}")
@@ -302,8 +299,6 @@ def cmd_synth(args, cfg: dict) -> int:
                 split_ids = {"train": ids[:-1], "val": ids[-1:]}
         out_dir = Path(cfg["out_dir"])
         data_io.save_dataset(out_dir, samples, split_ids)
-    except (ValueError, OSError) as e:
-        raise CliError(str(e))
     except MemoryError:
         raise CliError(f"--count {synth.count} images of --size {synth.size}: "
                        f"they do not fit in memory") from None

@@ -104,10 +104,14 @@ def _next_token(buf: bytes, pos: int) -> tuple[bytes, int]:
 
 def _parse_int(token: bytes, pos: int, what: str) -> int:
     """A header integer, ASCII digits only: `int` alone would also take a
-    sign and underscores."""
-    if not token.isdigit():
-        raise NetpbmError(f"bad {what} {token!r} ending at byte {pos}")
-    return int(token)
+    sign and underscores, and refuses more digits than Python's limit."""
+    if token.isdigit():
+        try:
+            return int(token)
+        except ValueError:
+            pass
+    shown = f"{token[:16]!r}{'...' if len(token) > 16 else ''}"
+    raise NetpbmError(f"bad {what} {shown} ending at byte {pos}")
 
 
 def read_netpbm(path) -> Tensor4:
@@ -264,18 +268,19 @@ def write_atomic(path, data: str | bytes) -> None:
         raise
 
 
-def read_manifest(path) -> dict:
-    """Parse a dataset or checkpoint manifest. Malformed JSON re-raises
-    `json.JSONDecodeError`, and any other top-level value a ValueError,
-    both naming the file."""
-    with open(path) as fh:
+def read_json(path) -> dict:
+    """Parse a config or a dataset or checkpoint manifest, a JSON object in
+    UTF-8. Bad JSON or UTF-8, an integer past Python's digit limit,
+    nesting too deep to parse and any other top-level value raise a
+    ValueError that starts with the path."""
+    with open(path, encoding="utf-8") as fh:
         try:
-            manifest = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise json.JSONDecodeError(f"{path}: {e.msg}", e.doc, e.pos) from None
-    if not isinstance(manifest, dict):
-        raise ValueError(f"{path}: manifest must be a JSON object")
-    return manifest
+            value = json.load(fh)
+        except (ValueError, RecursionError) as e:
+            raise ValueError(f"{path}: {e}") from None
+    if not isinstance(value, dict):
+        raise ValueError(f"{path}: the top-level value must be a JSON object")
+    return value
 
 
 def save_dataset(directory, samples: list[Sample],
@@ -304,7 +309,7 @@ def load_dataset(directory) -> tuple[list[Sample], dict]:
     manifest_path = directory / MANIFEST_NAME
     if not manifest_path.exists():
         raise FileNotFoundError(f"no {MANIFEST_NAME} in {directory}")
-    manifest = read_manifest(manifest_path)
+    manifest = read_json(manifest_path)
     if "ids" not in manifest:
         raise ValueError(f"dataset {directory}: {MANIFEST_NAME} has no 'ids'")
     if not _is_id_list(manifest["ids"]):

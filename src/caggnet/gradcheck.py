@@ -7,10 +7,13 @@ that into the builder of the op's output graph and hands it to
 `finite_diff_check`, as `_check_full_model` does for a whole model's
 loss; the checker weights an output of any shape. The op checks form one
 table in `op_checks`, which draws every input from one generator in table
-order. Inputs are constructed to stay away from the non-smooth points of
-relu/maxpool (values come from shuffled evenly spaced grids, so gaps are
-far larger than the perturbation step) and from the probability clamps
-in the losses.
+order. The block checks run the layers of one built float64 CAggNet by
+their names in its `ParamStore`, at the widths the builder gave them:
+``enc0``, the top, middle and bottom grid nodes ``cam1_*``, ``wab1`` and
+the whole head. Inputs are constructed to stay away from the non-smooth
+points of relu/maxpool (values come from shuffled evenly spaced grids, so
+gaps are far larger than the perturbation step) and from the probability
+clamps in the losses.
 
 `conv2d_reference` is the convolution oracle: a naive scalar loop kept
 free of any code shared with `functional.conv2d`, so that in double
@@ -25,8 +28,7 @@ from . import functional as F
 from . import train as T
 from .autograd import CheckReport, Tape, finite_diff_check
 from .blocks import cam_forward, conv_block_forward, wab_forward, wam_head
-from .models import (ModelConfig, ParamStore, _init_conv_block, _init_wab,
-                     build_caggnet, build_unet, forward)
+from .models import ModelConfig, build_caggnet, build_unet, forward
 from .tensor_core import ShapeError, Tensor4
 
 
@@ -157,71 +159,56 @@ def op_checks(seed: int = 0) -> list[CheckReport]:
 
 # --- block-level checks --------------------------------------------------------
 
-def _check_conv_block(rng):
-    cfg = ModelConfig(levels=2, columns=1, base_channels=2, in_channels=1,
-                      seed=7, dtype="double")
-    store = build_caggnet(cfg).params
-    x = _spread(rng, (2, 1, 6, 6))
-    params = {name: arr for name, arr in store.named_trainable()
-              if name.startswith("enc0.")}
-    params["x"] = x
-    return _check_op("conv_block",
-                     lambda v: conv_block_forward(v["x"], store, "enc0", training=True),
-                     params)
+def _layer_params(model, *prefixes) -> dict:
+    """The trainable arrays of `model` whose names start with a prefix."""
+    return {name: arr for name, arr in model.params.named_trainable()
+            if name.startswith(prefixes)}
 
 
-def _check_cam(rng, above: bool, below: bool):
-    c = 4
-    z = c + (c // 2 if above else 0) + (2 * c if below else 0)
-    # standalone node body with the right widths, via a scratch store
-    store = ParamStore()
-    _init_conv_block(store, "body", z, c, np.random.default_rng(13), np.float64)
-    params = dict(store.named_trainable())
-    params["same"] = _spread(rng, (1, c, 4, 4))
-    if above:
-        params["above"] = _spread(rng, (1, c // 2, 8, 8))
-    if below:
-        params["below"] = _spread(rng, (1, 2 * c, 2, 2))
+def _feature(rng, model, level):
+    """A (1, width, 8 / 2^level, 8 / 2^level) input at `level`."""
+    side = 8 >> level
+    return _spread(rng, (1, model.cfg.width(level), side, side))
 
-    tag = f"cam_{'a' if above else '-'}{'b' if below else '-'}"
+
+def _check_cam(rng, model, level):
+    """Grid node ``cam1_{level}`` with the neighbors the builder gives it."""
+    top = model.cfg.levels - 1
+    params = _layer_params(model, f"cam1_{level}.")
+    params["same"] = _feature(rng, model, level)
+    if level > 0:
+        params["above"] = _feature(rng, model, level - 1)
+    if level < top:
+        params["below"] = _feature(rng, model, level + 1)
+    tag = f"cam_{'a' if level > 0 else '-'}{'b' if level < top else '-'}"
     return _check_op(tag, lambda v: cam_forward(v["same"], v.get("above"),
-                                                v.get("below"), store, "body",
-                                                training=True),
-                     params)
-
-
-def _check_wab(rng):
-    store = ParamStore()
-    _init_wab(store, "wab", 4, 2, np.random.default_rng(17), np.float64)
-    params = dict(store.named_trainable())
-    params["x"] = _spread(rng, (2, 4, 4, 4))
-    return _check_op("wab", lambda v: wab_forward(v["x"], store, "wab"), params)
-
-
-def _check_wam(rng):
-    cfg = ModelConfig(levels=2, columns=1, base_channels=2, in_channels=1,
-                      seed=19, dtype="double")
-    store = build_caggnet(cfg).params
-    params = {name: arr for name, arr in store.named_trainable()
-              if name.startswith(("wab", "fuse", "head"))}
-    params["f0"] = _spread(rng, (1, 2, 8, 8))
-    params["f1"] = _spread(rng, (1, 4, 4, 4))
-    return _check_op("wam_head",
-                     lambda v: wam_head([v["f1"], v["f0"]], store),  # deepest first
+                                                v.get("below"), model.params,
+                                                f"cam1_{level}", training=True),
                      params)
 
 
 def block_checks(seed: int = 0) -> list[CheckReport]:
+    """The layers of one float64 CAggNet, each on inputs drawn from `seed`:
+    the first encoder block, the middle, top and bottom grid nodes, one
+    gate and the whole head."""
+    model = build_caggnet(ModelConfig(levels=3, columns=1, base_channels=2,
+                                      in_channels=1, seed=7, dtype="double"))
+    store, levels = model.params, model.cfg.levels
     rng = np.random.default_rng(seed)
-    return [
-        _check_conv_block(rng),
-        _check_cam(rng, True, True),
-        _check_cam(rng, False, True),   # top level
-        _check_cam(rng, True, False),   # bottom level
-        _check_cam(rng, False, False),
-        _check_wab(rng),
-        _check_wam(rng),
-    ]
+    conv_block = _check_op(
+        "conv_block",
+        lambda v: conv_block_forward(v["x"], store, "enc0", training=True),
+        {**_layer_params(model, "enc0."), "x": _spread(rng, (2, 1, 6, 6))})
+    cams = [_check_cam(rng, model, level) for level in (1, 0, levels - 1)]
+    wab = _check_op(
+        "wab", lambda v: wab_forward(v["x"], store, "wab1"),
+        {**_layer_params(model, "wab1."), "x": _spread(rng, (2, 4, 4, 4))})
+    feats = {f"f{level}": _feature(rng, model, level) for level in range(levels)}
+    wam = _check_op(
+        "wam_head",  # the features deepest first
+        lambda v: wam_head([v[f] for f in reversed(feats)], store),
+        {**_layer_params(model, "wab", "fuse", "head"), **feats})
+    return [conv_block, *cams, wab, wam]
 
 
 # --- model-level checks --------------------------------------------------------

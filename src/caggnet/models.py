@@ -35,7 +35,7 @@ import numpy as np
 from . import functional as F
 from .autograd import Tape, Var
 from .blocks import _conv, cam_forward, conv_block_forward, wam_head
-from .data_io import read_manifest
+from .data_io import read_json
 from .tensor_core import DTYPE_OF_TAG, ShapeError, Tensor4, TensorError
 
 
@@ -382,7 +382,7 @@ def load_checkpoint(directory):
     exactly the rebuilt model's values, split in construction order. A
     non-finite value or a negative running variance names its parameter."""
     directory = Path(directory)
-    manifest = read_manifest(directory / CHECKPOINT_MANIFEST)
+    manifest = read_json(directory / CHECKPOINT_MANIFEST)
     if manifest.get("format") != CHECKPOINT_FORMAT:
         raise ConfigError(f"checkpoint {directory} has format {manifest.get('format')!r}; "
                           f"expected {CHECKPOINT_FORMAT}, raw values in {CHECKPOINT_PARAMS!r}")

@@ -88,6 +88,23 @@ class TestBackwardBasics:
                            match=r"\(1, 1, 2, 1\).*\(1, 1, 2, 2\)"):
             backward(t, out, np.ones((1, 1, 2, 1)))
 
+    def test_returned_gradients_may_share_the_cotangent(self):
+        # `add` passes its gradient on as it is, so both leaves get `g`
+        # itself; the flat gradient that training reads is a fresh array
+        from caggnet.models import ParamStore
+
+        store = ParamStore()
+        store.add("a", np.zeros((1, 2, 2, 2)))
+        store.add("b", np.zeros((1, 2, 2, 2)))
+        t = Tape()
+        a, b = t.leaf(store["a"]), t.leaf(store["b"])
+        g = np.arange(8.0).reshape(1, 2, 2, 2)
+        grads = backward(t, F.add(a, b), g)
+        assert grads[a.id] is g and grads[b.id] is g
+        flat = store.apply_grads(t, grads)
+        assert np.array_equal(flat, np.concatenate([g.ravel(), g.ravel()]))
+        assert not any(np.shares_memory(flat, x) for x in (g, *grads.values()))
+
     def test_mixed_dtypes_rejected(self):
         t = Tape()
         t.leaf(np.ones((1, 1, 1, 1), dtype=np.float64))

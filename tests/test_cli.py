@@ -64,6 +64,15 @@ MALFORMED_MANIFESTS = {
 }
 
 
+# files that no JSON reader parses: written as the config, the dataset
+# manifest or the checkpoint manifest, each must exit 1 naming that file
+UNREADABLE_JSON = {
+    "byte-0xff": b'{"ids": []}\xff',
+    "5000-digit-integer": b'{"seed": ' + b"1" * 5000 + b"}",
+    "nested-100000-deep": b"[" * 100_000,
+}
+
+
 # Netpbm corruptions of one dataset file: each must exit 1 naming the file
 NETPBM_CORRUPTIONS = {
     "truncated-payload": lambda b: b[:-1],
@@ -863,6 +872,23 @@ class TestEval:
                      "--out", str(tmp_path / "e")] + flags) == 1
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
+        assert not (tmp_path / "e").exists()
+
+    # eval reads all three files: the config, then the checkpoint, then the dataset
+    @pytest.mark.parametrize("case", sorted(UNREADABLE_JSON))
+    @pytest.mark.parametrize("target", ["config", "checkpoint", "dataset"])
+    def test_unreadable_json_exits_1_naming_the_file(self, dataset, tmp_path, capsys,
+                                                      target, case):
+        ckpt = self.fresh_checkpoint(tmp_path)
+        cfg = tmp_path / "c.json"
+        cfg.write_text("{}")
+        path = {"config": cfg, "checkpoint": ckpt / "manifest.json",
+                "dataset": dataset / "manifest.json"}[target]
+        path.write_bytes(UNREADABLE_JSON[case])
+        assert main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt),
+                     "--data", str(dataset), "--out", str(tmp_path / "e")]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {path}: " in err and "Traceback" not in err
         assert not (tmp_path / "e").exists()
 
     def test_missing_checkpoint_exits_1(self, dataset, tmp_path):

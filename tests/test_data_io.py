@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from caggnet.data_io import (
     SynthConfig,
     gen_synthetic,
     load_dataset,
+    read_json,
     read_mask,
     read_netpbm,
     save_dataset,
@@ -81,6 +83,9 @@ class TestReadNetpbm:
         (b"P5 +4 4 255\n", "bad width b'+4' ending at byte 5"),
         (b"P5 4 4 2_55\n", "bad maxval b'2_55' ending at byte 11"),
         (b"P5 0_4 +4 +255\n", "bad width b'0_4' ending at byte 6"),
+        # more digits than Python's `int` converts; only the first 16 shown
+        (b"P5 " + b"1" * 5000 + b" 4 255\n",
+         "bad width b'1111111111111111'... ending at byte 5003"),
     ])
     def test_header_integers_must_be_ascii_digits(self, tmp_path, header, named):
         path = tmp_path / "s.pgm"
@@ -263,6 +268,29 @@ class TestDatasetDirectory:
         with pytest.raises(ValueError, match="mask"):
             Sample(image=Tensor4(rng.uniform(0, 1, (1, 1, 4, 4))),
                    mask=Tensor4(rng.uniform(0, 1, (1, 1, 4, 4))), id="x")
+
+
+_json_docs = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4),
+                                                              kids, max_size=3),
+    max_leaves=6).map(lambda v: json.dumps(v).encode())
+
+
+class TestReadJson:
+    @settings(PROPERTY, max_examples=150)
+    @given(data=st.binary(max_size=32) | _json_docs | st.tuples(
+        _json_docs, st.integers(0, 40), st.binary(min_size=1, max_size=3)).map(
+            lambda t: t[0][:t[1]] + t[2] + t[0][t[1]:]))
+    def test_any_bytes_give_an_object_or_an_error_naming_the_file(self, pbm_dir, data):
+        path = pbm_dir / "m.json"
+        path.write_bytes(data)
+        try:
+            value = read_json(path)
+        except ValueError as e:
+            assert str(e).startswith(f"{path}: ")
+        else:
+            assert isinstance(value, dict)
 
 
 def write_half_then_fail(self, data):
